@@ -214,12 +214,12 @@ let final_registers result =
   regs
 
 (* Multi-program mode: run many machine-language programs at once on the
-   gate-level system netlist, 62 programs per wide pass, passes sharded
-   across domains ({!Hydra_engine.Sharded}).  Each lane gets the exact
-   input schedule [run_structural] would generate for its program — DMA
-   load at addresses 0.., a start pulse at t = program length, then free
-   running — so lanes with different program lengths start (and halt)
-   independently. *)
+   gate-level system netlist, one program per lane of the wide engine,
+   lanes refilled as programs finish and the loop sharded across domains
+   ({!Hydra_engine.Sharded}).  Each lane gets the exact input schedule
+   [run_structural] would generate for its program — DMA load at
+   addresses 0.., a start pulse at t = program length, then free
+   running — on its own local clock. *)
 
 let system_netlist ?(mem_bits = 6) () =
   let module G = Hydra_core.Graph in
@@ -238,6 +238,25 @@ let system_netlist ?(mem_bits = 6) () =
            (fun i s -> (Printf.sprintf "pc%d" i, s))
            outs.SysG.dp.SysG.D.pc)
 
+(* Port [i] of a word port group ([da], [dd], [pc]) carries bit
+   [word_size - 1 - i] of the word: Bitvec's MSB-first order.
+   [add_word_planes planes ~lane w] ORs word [w] into lane [lane] of the
+   bit-planes [planes] (plane [i] = packed word of port [i]); it is the
+   one place stimulus spells that order out, and [plane_word get ~lane]
+   reads lane [lane]'s word back from the planes [get i]. *)
+let add_word_planes planes ~lane w =
+  for i = 0 to Isa.word_size - 1 do
+    planes.(i) <-
+      planes.(i) lor (((w lsr (Isa.word_size - 1 - i)) land 1) lsl lane)
+  done
+
+let plane_word get ~lane =
+  let w = ref 0 in
+  for i = 0 to Isa.word_size - 1 do
+    w := (!w lsl 1) lor ((get i lsr lane) land 1)
+  done;
+  !w
+
 (* The [run_structural] input schedule for one program as per-port bool
    streams over {!system_netlist}'s ports — the stimulus format of
    cycle-driven consumers like [Hydra_verify.Campaign]: DMA load at
@@ -250,22 +269,43 @@ let program_stimulus ?(mem_bits = 6) ?(max_cycles = 2000) program =
     invalid_arg "Driver.program_stimulus: program does not fit in memory";
   let cycles = len + max_cycles in
   let stream f = List.init cycles f in
-  let bit_of w i = List.nth (word_of_int w) i in
+  let planes w =
+    let p = Array.make Isa.word_size 0 in
+    add_word_planes p ~lane:0 w;
+    p
+  in
+  let da = Array.init len planes and dd = Array.map planes prog in
+  let port name bits i =
+    (Printf.sprintf "%s%d" name i, stream (fun t -> t < len && bits.(t).(i) <> 0))
+  in
   ( ("start", stream (fun t -> t = len))
     :: ("dma", stream (fun t -> t < len))
-    :: (List.init Isa.word_size (fun i ->
-            (Printf.sprintf "da%d" i, stream (fun t -> t < len && bit_of t i)))
-       @ List.init Isa.word_size (fun i ->
-             (Printf.sprintf "dd%d" i,
-              stream (fun t -> t < len && bit_of prog.(t) i)))),
+    :: (List.init Isa.word_size (port "da" da)
+       @ List.init Isa.word_size (port "dd" dd)),
     cycles )
 
 type batch_result = { halted : bool; cycles : int; pc : int }
 
+let reset_lanes sim mask =
+  let module W = Hydra_engine.Compiled_wide in
+  let prog = W.program sim in
+  let dffs = prog.Hydra_engine.Kernel.dffs
+  and init = prog.Hydra_engine.Kernel.dff_init in
+  for j = 0 to Array.length dffs - 1 do
+    let i = dffs.(j) in
+    let kept = W.peek sim i land lnot mask in
+    W.poke sim i (if init.(j) then kept lor mask else kept)
+  done
+
+(* Each team member runs one refill loop on its replica: a lane that
+   halts or exhausts its budget of [len + max_cycles] local cycles (the
+   [run_structural] budget) records its result, claims the next program
+   from the shared counter and has its dffs reset to power-up in that
+   lane only.  Port indices are resolved once; the cycle loop drives
+   bit-planes through [poke] and allocates nothing. *)
 let run_many ?(mem_bits = 6) ?(max_cycles = 2000) ?sharded ?domains programs =
   let module W = Hydra_engine.Compiled_wide in
   let module Sh = Hydra_engine.Sharded in
-  let module P = Hydra_core.Packed in
   let nprog = Array.length programs in
   let progs = Array.map Array.of_list programs in
   Array.iter
@@ -278,71 +318,92 @@ let run_many ?(mem_bits = 6) ?(max_cycles = 2000) ?sharded ?domains programs =
     | Some sh -> (sh, false)
     | None -> (Sh.create ?domains (system_netlist ~mem_bits ()), true)
   in
-  let results = Array.make nprog { halted = false; cycles = 0; pc = 0 } in
+  let nl = Sh.netlist sh in
+  let input n = List.assoc n nl.Hydra_netlist.Netlist.inputs
+  and output n = List.assoc n nl.Hydra_netlist.Netlist.outputs in
+  let word port n = Array.init Isa.word_size (fun i -> port (n ^ string_of_int i)) in
+  let start_i = input "start" and dma_i = input "dma" and halted_i = output "halted" in
+  let da_i = word input "da" and dd_i = word input "dd" and pc_i = word output "pc" in
+  let not_halted = { halted = false; cycles = max 0 (max_cycles - 1); pc = 0 } in
+  let results = Array.make nprog not_halted in
+  let next = Atomic.make 0 in
   let lanes = W.lanes in
-  let npasses = (nprog + lanes - 1) / lanes in
-  Sh.dispatch sh npasses (fun sim p ->
-      let base = p * lanes in
-      let count = min lanes (nprog - base) in
-      let lens = Array.init count (fun l -> Array.length progs.(base + l)) in
-      let max_len = Array.fold_left max 0 lens in
-      let limit = max_len + max_cycles in
-      W.reset sim;
-      let halted_mask = ref 0 in
-      let all = (1 lsl count) - 1 in
-      let t = ref 0 in
-      while !halted_mask <> all && !t < limit do
-        let t0 = !t in
-        let start_w = ref 0 and dma_w = ref 0 in
-        for l = 0 to count - 1 do
-          if t0 = lens.(l) then start_w := !start_w lor (1 lsl l);
-          if t0 < lens.(l) then dma_w := !dma_w lor (1 lsl l)
-        done;
-        W.set_input sim "start" !start_w;
-        W.set_input sim "dma" !dma_w;
-        (* dma address: the address is [t0] in every still-loading lane
-           and 0 elsewhere, so a bit of [da] is the active mask or 0 *)
-        List.iteri
-          (fun i b ->
-            W.set_input sim (Printf.sprintf "da%d" i) (if b then !dma_w else 0))
-          (word_of_int t0);
-        (* dma data: lane [l] carries its own program's word [t0] *)
-        let dd_words = Array.make Isa.word_size 0 in
-        for l = 0 to count - 1 do
-          if t0 < lens.(l) then
-            List.iteri
-              (fun i b ->
-                if b then dd_words.(i) <- dd_words.(i) lor (1 lsl l))
-              (word_of_int progs.(base + l).(t0))
-        done;
-        Array.iteri
-          (fun i w -> W.set_input sim (Printf.sprintf "dd%d" i) w)
-          dd_words;
-        W.settle sim;
-        let newly = W.output sim "halted" land lnot !halted_mask land all in
-        if newly <> 0 then begin
-          let pc_bits =
-            List.init Isa.word_size (fun i ->
-                W.output sim (Printf.sprintf "pc%d" i))
-          in
-          for l = 0 to count - 1 do
-            if newly land (1 lsl l) <> 0 then begin
-              let pc =
-                Bitvec.to_int (List.map (fun w -> P.lane w l) pc_bits)
-              in
-              results.(base + l) <-
-                { halted = true; cycles = t0 - lens.(l); pc }
-            end
-          done;
-          halted_mask := !halted_mask lor newly
-        end;
-        W.tick sim;
-        incr t
+  let refill_loop sim =
+    let task = Array.make lanes (-1) and tau = Array.make lanes 0 in
+    let len = Array.make lanes 0 in
+    let da = Array.make Isa.word_size 0 and dd = Array.make Isa.word_size 0 in
+    (* lane [l] claims programs until one has a non-empty budget (an
+       empty one never runs a cycle: [run_structural] reports it as not
+       halted) or none is left *)
+    let rec claim l =
+      let k = Atomic.fetch_and_add next 1 in
+      if k >= nprog then (task.(l) <- -1; 0)
+      else if Array.length progs.(k) + max_cycles <= 0 then claim l
+      else begin
+        task.(l) <- k;
+        tau.(l) <- 0;
+        len.(l) <- Array.length progs.(k);
+        1 lsl l
+      end
+    in
+    W.reset sim;
+    let active = ref 0 in
+    for l = 0 to lanes - 1 do
+      active := !active lor claim l
+    done;
+    while !active <> 0 do
+      let start = ref 0 and dma = ref 0 in
+      Array.fill da 0 Isa.word_size 0;
+      Array.fill dd 0 Isa.word_size 0;
+      for l = 0 to lanes - 1 do
+        let k = task.(l) in
+        if k >= 0 then begin
+          let t = tau.(l) in
+          if t < len.(l) then begin
+            dma := !dma lor (1 lsl l);
+            add_word_planes da ~lane:l t;
+            add_word_planes dd ~lane:l progs.(k).(t)
+          end
+          else if t = len.(l) then start := !start lor (1 lsl l)
+        end
       done;
-      for l = 0 to count - 1 do
-        if !halted_mask land (1 lsl l) = 0 then
-          results.(base + l) <-
-            { halted = false; cycles = max 0 (!t - 1 - lens.(l)); pc = 0 }
-      done);
+      W.poke sim start_i !start;
+      W.poke sim dma_i !dma;
+      for i = 0 to Isa.word_size - 1 do
+        W.poke sim da_i.(i) da.(i);
+        W.poke sim dd_i.(i) dd.(i)
+      done;
+      W.settle sim;
+      let halted = W.peek sim halted_i in
+      let finished = ref 0 in
+      for l = 0 to lanes - 1 do
+        let k = task.(l) in
+        if k >= 0 then begin
+          let t = tau.(l) in
+          if (halted lsr l) land 1 = 1 then begin
+            results.(k) <-
+              { halted = true; cycles = max 0 (t - len.(l));
+                pc = plane_word (fun i -> W.peek sim pc_i.(i)) ~lane:l };
+            finished := !finished lor (1 lsl l)
+          end
+          else if t + 1 >= len.(l) + max_cycles then
+            finished := !finished lor (1 lsl l)
+          else tau.(l) <- t + 1
+        end
+      done;
+      W.tick sim;
+      if !finished <> 0 then begin
+        let refilled = ref 0 in
+        for l = 0 to lanes - 1 do
+          if (!finished lsr l) land 1 = 1 then refilled := !refilled lor claim l
+        done;
+        if !refilled <> 0 then reset_lanes sim !refilled;
+        active := (!active land lnot !finished) lor !refilled
+      end
+    done
+  in
+  let needed = (nprog + lanes - 1) / lanes in
+  Sh.run_tasks sh (min (Sh.domains sh) needed) (fun ~member _ ->
+      refill_loop (Sh.replica sh member));
   if owned then Sh.shutdown sh;
   results

@@ -86,12 +86,23 @@ val run_many :
   ?domains:int ->
   int list array ->
   batch_result array
-(** Run many machine-language programs at once on {!system_netlist}:
-    program [k] rides in lane [k mod 62] of sharded job [k / 62], each
-    lane driven with exactly the DMA-load / start-pulse schedule
-    {!run_structural} would generate for it, so N programs cost
-    ceil(N/62) wide simulations spread over the domains.  [?sharded]
-    reuses an engine already created from [system_netlist ~mem_bits]
-    (and is not shut down); otherwise one is created with [?domains]
-    and shut down on return.  [cycles] and [halted] of result [k] match
-    {!run_structural} on program [k]. *)
+(** Run many machine-language programs at once on {!system_netlist}, one
+    program per lane of the 62-lane wide engine.  Each sharded team
+    member keeps all its lanes busy: when a lane's program halts or
+    exhausts its budget, the lane takes the next unclaimed program and
+    has its dffs reset to power-up in that lane only ({!reset_lanes}).
+    Every lane runs on its own clock with exactly the DMA-load /
+    start-pulse schedule {!run_structural} would generate for its
+    program, and the same budget of [length + max_cycles] (default
+    2000) cycles, so a program's result depends neither on its lane nor
+    on the other programs or the domain count: [cycles] and [halted] of
+    result [k] match {!run_structural} on program [k].  The cost is
+    about the sum of the programs' cycles over [62 x domains] wide
+    cycles.  [?sharded] reuses an engine already created from
+    [system_netlist ~mem_bits] (and is not shut down); otherwise one is
+    created with [?domains] and shut down on return. *)
+
+val reset_lanes : Hydra_engine.Compiled_wide.t -> int -> unit
+(** [reset_lanes sim mask] sets every dff of [sim] to its power-up value
+    in the lanes of [mask], leaving the other lanes untouched:
+    {!run_many}'s refill step, built on [peek]/[poke]. *)

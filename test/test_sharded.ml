@@ -210,6 +210,160 @@ let suite =
         let spin = Asm.assemble "loop: jump loop[R0]\n" in
         let results = Driver.run_many ~max_cycles:40 [| spin |] in
         check_bool "not halted" false results.(0).Driver.halted);
+    (* a program's budget is its own [len + max_cycles], not the
+       longest program's in the same wide pass *)
+    tc "run_many: a short non-halting program's cycles ignore its neighbours"
+      (fun () ->
+        let module Asm = Hydra_cpu.Asm in
+        let spin = Asm.assemble "loop: jump loop[R0]\n" in
+        let long = Asm.assemble (Test_wide.sum_loop_src ^ "  data 0\n  data 0\n  data 0\n") in
+        check_int "the neighbour is 21 words" 21 (List.length long);
+        let results = Driver.run_many ~max_cycles:40 [| spin; long |] in
+        let scalar = Driver.run_structural ~max_cycles:40 spin in
+        check_bool "spin not halted" false results.(0).Driver.halted;
+        check_int "run_structural's count" 39 scalar.Driver.cycles;
+        check_int "spin cycles = run_structural's" scalar.Driver.cycles
+          results.(0).Driver.cycles);
+    tc "run_many: mixed programs = Golden / run_structural, any domains or order"
+      (fun () ->
+        let module Asm = Hydra_cpu.Asm in
+        let module Golden = Hydra_cpu.Golden in
+        (* budgets end exactly at the edges: a sum loop takes 24 + 20n
+           cycles, so n = 5 halts on the last cycle of its budget and
+           n >= 6 exceeds it; a straight-line run of [adds] additions
+           takes 16 + 3 adds cycles, one more when its second operand is
+           loaded from memory, so 36 additions halt on the last cycle
+           (ldval) or one cycle too late (load) *)
+        let max_cycles = 125 in
+        let sum_loop n =
+          Asm.assemble
+            (Printf.sprintf
+               "  ldval R1,0[R0]\n  load R2,n[R0]\nloop: cmpeq R3,R2,R0\n\
+               \  jumpt R3,done[R0]\n  add R1,R1,R2\n  ldval R4,1[R0]\n\
+               \  sub R2,R2,R4\n  jump loop[R0]\ndone: store R1,result[R0]\n\
+               \  halt\nn: data %d\nresult: data 0\n" n)
+        and straight ~load adds a =
+          Asm.assemble
+            (Printf.sprintf "  ldval R1,%d[R0]\n%s%s  store R1,result[R0]\n\
+                             \  halt\nthree: data 3\nresult: data 0\n"
+               a
+               (if load then "  load R2,three[R0]\n" else "  ldval R2,3[R0]\n")
+               (String.concat "" (List.init adds (fun _ -> "  add R1,R1,R2\n"))))
+        and spin prefix =
+          Asm.assemble
+            (String.concat "" (List.init prefix (fun _ -> "  inc R1,R1\n"))
+            ^ "loop: jump loop[R0]\n")
+        in
+        let programs =
+          Array.concat
+            [ Array.init 64 (fun k -> sum_loop (k mod 8));
+              Array.init 64 (fun k -> straight ~load:(k mod 2 = 1) (k mod 30) k);
+              [| straight ~load:false 36 7; straight ~load:true 36 7 |];
+              Array.init 6 (fun k -> spin (3 * (k mod 3))) ]
+        in
+        let golden p =
+          let g = Golden.create ~mem_words:64 () in
+          Golden.load_program g p;
+          ignore (Golden.run ~max_instructions:10_000 g);
+          g
+        in
+        (* expected results: Golden's for programs that halt within the
+           budget, run_structural's for the rest (computed once per
+           distinct program) *)
+        let structural = Hashtbl.create 16 in
+        let expected =
+          Array.map
+            (fun p ->
+              let g = golden p in
+              if g.Golden.halted && g.Golden.cycles < max_cycles then
+                { Driver.halted = true; cycles = g.Golden.cycles; pc = g.Golden.pc }
+              else begin
+                let r =
+                  match Hashtbl.find_opt structural p with
+                  | Some r -> r
+                  | None ->
+                    let r = Driver.run_structural ~max_cycles ~collect_trace:false p in
+                    Hashtbl.replace structural p r;
+                    r
+                in
+                { Driver.halted = r.Driver.halted; cycles = r.Driver.cycles; pc = 0 }
+              end)
+            programs
+        in
+        let count f = Array.fold_left (fun a r -> if f r then a + 1 else a) 0 expected in
+        check_bool "some programs halt" true (count (fun r -> r.Driver.halted) > 100);
+        check_bool "some exceed their budget" true
+          (count (fun r -> not r.Driver.halted) > 6);
+        let r1 = Driver.run_many ~max_cycles ~domains:1 programs in
+        Array.iteri
+          (fun k e ->
+            let r = r1.(k) in
+            check_bool (Printf.sprintf "program %d halted" k) e.Driver.halted r.Driver.halted;
+            check_int (Printf.sprintf "program %d cycles" k) e.Driver.cycles r.Driver.cycles;
+            check_int (Printf.sprintf "program %d pc" k) e.Driver.pc r.Driver.pc)
+          expected;
+        let r2 = Driver.run_many ~max_cycles ~domains:2 programs in
+        check_bool "1 and 2 domains agree" true (r1 = r2);
+        let n = Array.length programs in
+        let perm = Array.init n Fun.id in
+        let st = Random.State.make [| 12 |] in
+        for j = n - 1 downto 1 do
+          let r = Random.State.int st (j + 1) in
+          let t = perm.(j) in
+          perm.(j) <- perm.(r);
+          perm.(r) <- t
+        done;
+        let rp =
+          Driver.run_many ~max_cycles ~domains:2 (Array.map (fun j -> programs.(j)) perm)
+        in
+        check_bool "each result moves with its program" true
+          (Array.for_all Fun.id (Array.mapi (fun i j -> rp.(i) = r1.(j)) perm)));
+    tc "reset_lanes: masked lanes back to power-up, the rest untouched"
+      (fun () ->
+        let module Kernel = Hydra_engine.Kernel in
+        (* two toggle registers powering up at 1 and at 0, and the CPU *)
+        let toggles =
+          {
+            N.components =
+              [| N.Inport "a"; N.Dffc true; N.Dffc false; N.Xor2c; N.Xor2c;
+                 N.Outport "q1"; N.Outport "q0" |];
+            fanin = [| [||]; [| 3 |]; [| 4 |]; [| 0; 1 |]; [| 0; 2 |]; [| 1 |]; [| 2 |] |];
+            names = Array.make 7 [];
+            inputs = [ ("a", 0) ];
+            outputs = [ ("q1", 5); ("q0", 6) ];
+          }
+        in
+        List.iter
+          (fun nl ->
+            let a = Wide.create nl in
+            let b = Wide.replicate a and fresh = Wide.replicate a in
+            let st = Random.State.make [| 5 |] in
+            for _ = 1 to 12 do
+              List.iter
+                (fun (name, _) ->
+                  let w = Random.State.bits st lor (Random.State.bits st lsl 30)
+                          lor (Random.State.bits st lsl 60) in
+                  Wide.set_input a name w;
+                  Wide.set_input b name w)
+                (Wide.netlist a).N.inputs;
+              Wide.step a;
+              Wide.step b
+            done;
+            let m = 0x2aaa_aaaa_aaaa_aaaa land Wide.lane_mask in
+            let dffs = (Wide.program a).Kernel.dffs in
+            check_bool "the masked lanes left power-up" true
+              (Array.exists (fun i -> Wide.peek a i land m <> Wide.peek fresh i land m) dffs);
+            Driver.reset_lanes a m;
+            for i = 0 to N.size (Wide.netlist a) - 1 do
+              check_int (Printf.sprintf "component %d outside the mask" i)
+                (Wide.peek b i land lnot m) (Wide.peek a i land lnot m)
+            done;
+            Array.iter
+              (fun i ->
+                check_int (Printf.sprintf "dff %d inside the mask" i)
+                  (Wide.peek fresh i land m) (Wide.peek a i land m))
+              dffs)
+          [ toggles; Driver.system_netlist () ]);
     (* the re-layout is a pure index permutation *)
     qc ~count:30 "rank_major_permutation is a valid permutation"
       (Test_wide.gen_nodes Test_wide.all_ops)
