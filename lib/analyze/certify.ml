@@ -23,6 +23,7 @@
    failure says precisely how the transform lied. *)
 
 module Netlist = Hydra_netlist.Netlist
+module Levelize = Hydra_netlist.Levelize
 module P = Hydra_core.Packed
 
 type counterexample = {
@@ -103,7 +104,8 @@ let ports_preserved pre post =
    [passes] passes of 62 random stimulus streams, [cycles] cycles each,
    deterministic in [seed]. *)
 let io_equiv ?(passes = 2) ?(cycles = 16) ?(seed = 0x5eed) pre post =
-  let s1 = Sim.packed_create pre and s2 = Sim.packed_create post in
+  let s1 = Sim.packed_create pre (Levelize.compute pre)
+  and s2 = Sim.packed_create post (Levelize.compute post) in
   let in_names = List.map fst pre.Netlist.inputs in
   let out_names = List.map fst pre.Netlist.outputs in
   let result = ref (Ok ()) in

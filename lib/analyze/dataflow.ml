@@ -119,6 +119,8 @@ let create nl =
   }
 
 let netlist t = t.nl
+let levelization t = t.lv
+let fanout t = t.fanout
 let label t i = Netlist.describe t.nl i
 let forward_succs t i = List.map fst t.fanout.(i)
 
@@ -133,7 +135,9 @@ let constants_full t =
     (* start: the cycle-0 settle from reset (inputs unknown, flip flops
        at their power-up values) — a pre-fixpoint of the transfer, since
        a dff's transfer joins its power-up value back in *)
-    let init = Sim.ternary_values ~inputs:T.X ~respect_init:true ~cycles:0 nl in
+    let init =
+      Sim.ternary_values ~inputs:T.X ~respect_init:true ~cycles:0 nl t.lv
+    in
     let transfer get i =
       match nl.Netlist.components.(i) with
       | Netlist.Inport _ -> T.X
@@ -299,7 +303,7 @@ type key =
 let signatures t =
   let nl = t.nl in
   let n = Netlist.size nl in
-  let s = Sim.packed_create nl in
+  let s = Sim.packed_create nl t.lv in
   let st = Random.State.make [| 0xC1A5; n |] in
   Sim.packed_reset s;
   let h = Array.make n 0 in
@@ -555,7 +559,8 @@ let crosscheck ?(passes = 2) ?(cycles = 16) ?(seed = 0xdf1) t =
         0 nl.Netlist.components
     in
     let sync =
-      Sim.ternary_values ~inputs:T.F ~respect_init:false ~cycles:(ndffs + 1) nl
+      Sim.ternary_values ~inputs:T.F ~respect_init:false ~cycles:(ndffs + 1)
+        nl t.lv
     in
     let reaching = reaching_x t in
     for i = 0 to n - 1 do
@@ -576,7 +581,7 @@ let crosscheck ?(passes = 2) ?(cycles = 16) ?(seed = 0xdf1) t =
     if t.lv.Levelize.cyclic = [] then begin
       let consts = constants t in
       let cls = classes t in
-      let s = Sim.packed_create nl in
+      let s = Sim.packed_create nl t.lv in
       for pass = 0 to passes - 1 do
         let st = Random.State.make [| seed; pass; cycles |] in
         Sim.packed_reset s;

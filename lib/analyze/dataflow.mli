@@ -37,10 +37,21 @@ type t
     once, later queries are free. *)
 
 val create : Hydra_netlist.Netlist.t -> t
-(** Validates and levelizes.  Raises [Invalid_argument] on a malformed
-    netlist — the analyses index arrays with fanin numbers unchecked. *)
+(** Validates, levelizes and computes the fanout, once: every analysis
+    over [t] (and every {!Sim} call it makes) reuses that one
+    levelization, which by construction is the same netlist's.  Raises
+    [Invalid_argument] on a malformed netlist — the analyses index arrays
+    with fanin numbers unchecked. *)
 
 val netlist : t -> Hydra_netlist.Netlist.t
+
+val levelization : t -> Hydra_netlist.Levelize.t
+(** The netlist's levelization, computed once by {!create} and shared by
+    every analysis over [t] (and by {!Lint.run}'s structural rules). *)
+
+val fanout : t -> (int * int) list array
+(** The netlist's {!Hydra_netlist.Netlist.fanout}, computed once by
+    {!create}.  Shared, do not mutate. *)
 
 val constants : t -> Hydra_core.Ternary.t array
 (** Sequential constant propagation.  A known value means the component

@@ -7,8 +7,9 @@
    extraction pipeline can leave behind (constants feeding gates, logic
    reaching no output, inputs driving nothing).  Each rule inspects one
    obligation and reports structured {!Diagnostic.t}s; expensive shared
-   facts (levelization, fanout, ternary evaluations) are computed lazily
-   once per run and shared across rules.
+   facts are computed at most once per run and shared across rules: the
+   run's one {!Dataflow.t} supplies the levelization and fanout (a run
+   levelizes its netlist exactly once), ternary evaluations are lazy.
 
    Severities: [Error] marks a netlist the engines must not trust
    (malformed structure, combinational cycle, a configured timing budget
@@ -33,8 +34,8 @@ let default_config =
 type ctx = {
   nl : Netlist.t;
   config : config;
-  lv : Levelize.t Lazy.t;
-  fanout : (int * int) list array Lazy.t;
+  lv : Levelize.t;  (* the run's one levelization, from the Dataflow.t *)
+  fanout : (int * int) list array;  (* likewise *)
   tern_free : T.t array Lazy.t;
       (* inputs X, state X, cycle 0: known values are structural constants *)
   tern_zero : T.t array Lazy.t;
@@ -68,7 +69,7 @@ let comb_cycle_rule =
     about = "combinational feedback loop (forbidden by the synchronous model)";
     check =
       (fun ctx ->
-        let lv = Lazy.force ctx.lv in
+        let lv = ctx.lv in
         match lv.Levelize.cyclic with
         | [] -> []
         | cyclic ->
@@ -96,7 +97,7 @@ let floating_input_rule =
     about = "declared input port drives no component";
     check =
       (fun ctx ->
-        let fanout = Lazy.force ctx.fanout in
+        let fanout = ctx.fanout in
         let dead =
           List.filter (fun (_, i) -> fanout.(i) = []) ctx.nl.Netlist.inputs
         in
@@ -275,7 +276,7 @@ let fanout_hotspot_rule =
     about = "net drives more sinks than the configured threshold";
     check =
       (fun ctx ->
-        let fanout = Lazy.force ctx.fanout in
+        let fanout = ctx.fanout in
         let hot = ref [] in
         Array.iteri
           (fun i sinks ->
@@ -315,7 +316,7 @@ let path_budget_rule =
         match ctx.config.path_budget with
         | None -> []
         | Some budget ->
-          let lv = Lazy.force ctx.lv in
+          let lv = ctx.lv in
           if lv.Levelize.cyclic <> [] then []
             (* meaningless under a cycle; comb-cycle already fired *)
           else if lv.Levelize.critical_path <= budget then []
@@ -424,18 +425,20 @@ let run ?(config = default_config) nl =
       };
     ]
   | Ok () ->
+    let df = Dataflow.create nl in
+    let lv = Dataflow.levelization df in
     let ctx =
       {
         nl;
         config;
-        lv = lazy (Levelize.compute nl);
-        fanout = lazy (Netlist.fanout nl);
-        tern_free = lazy (Sim.ternary_values ~inputs:T.X ~cycles:0 nl);
+        lv;
+        fanout = Dataflow.fanout df;
+        tern_free = lazy (Sim.ternary_values ~inputs:T.X ~cycles:0 nl lv);
         tern_zero =
           lazy
             (Sim.ternary_values ~inputs:T.F ~respect_init:false
-               ~cycles:config.xsim_cycles nl);
-        df_diags = lazy (Dataflow.diagnostics (Dataflow.create nl));
+               ~cycles:config.xsim_cycles nl lv);
+        df_diags = lazy (Dataflow.diagnostics df);
       }
     in
     (* Deterministic output contract: stable sort by rule name, then by

@@ -43,10 +43,11 @@ let ternary_gate (c : Netlist.component) (fi : int -> T.t) : T.t option =
 (* Settled component values after [cycles] clock ticks, with every input
    port held at [inputs] and flip flops powered up at X (or their declared
    value with [respect_init]).  Components on combinational cycles are
-   never evaluated and read X. *)
-let ternary_values ?(inputs = T.X) ?(respect_init = false) ?(cycles = 0) nl =
+   never evaluated and read X.  [lv] is [nl]'s levelization, supplied by
+   the caller so that one analysis run levelizes once. *)
+let ternary_values ?(inputs = T.X) ?(respect_init = false) ?(cycles = 0) nl
+    (lv : Levelize.t) =
   let n = Netlist.size nl in
-  let lv = Levelize.compute nl in
   let values = Array.make n T.X in
   let state = Array.make n T.X in
   Array.iteri
@@ -97,8 +98,9 @@ type packed = {
   dff_init : int array;  (* broadcast power-up words *)
 }
 
-let packed_create nl =
-  let lv = Levelize.check nl in
+let packed_create nl (lv : Levelize.t) =
+  if lv.Levelize.cyclic <> [] then
+    raise (Levelize.Combinational_cycle lv.Levelize.cyclic);
   let n = Netlist.size nl in
   let input_index = Hashtbl.create 16 in
   List.iter (fun (s, i) -> Hashtbl.replace input_index s i) nl.Netlist.inputs;

@@ -22,17 +22,23 @@ val ternary_values :
   ?respect_init:bool ->
   ?cycles:int ->
   Hydra_netlist.Netlist.t ->
+  Hydra_netlist.Levelize.t ->
   Hydra_core.Ternary.t array
-(** Settled per-component values after [cycles] clock ticks (default 0:
-    the first settle), every input port held at [inputs] (default X) and
-    flip flops powered up at X unless [respect_init] (default false).
-    Components on combinational cycles read X. *)
+(** [ternary_values nl lv]: settled per-component values after [cycles]
+    clock ticks (default 0: the first settle), every input port held at
+    [inputs] (default X) and flip flops powered up at X unless
+    [respect_init] (default false).  Components on combinational cycles
+    read X.  [lv] must be the levelization of the same [nl]
+    ({!Hydra_netlist.Levelize.compute}); it is taken from the caller so
+    that an analysis run levelizes its netlist once. *)
 
 type packed
 
-val packed_create : Hydra_netlist.Netlist.t -> packed
-(** Raises {!Hydra_netlist.Levelize.Combinational_cycle} on an invalid
-    circuit. *)
+val packed_create :
+  Hydra_netlist.Netlist.t -> Hydra_netlist.Levelize.t -> packed
+(** [packed_create nl lv], where [lv] must be the levelization of the
+    same [nl].  Raises {!Hydra_netlist.Levelize.Combinational_cycle} when
+    [lv] reports one (an invalid circuit). *)
 
 val packed_reset : packed -> unit
 val packed_set_input : packed -> string -> int -> unit

@@ -239,16 +239,18 @@ let stats t =
 let size t = Array.length t.components
 
 (* Fanout: for each component, the list of (sink component, sink input
-   port) pairs it drives. *)
+   port) pairs it drives, ascending by sink then port.  Consing from the
+   last sink and port down builds each list in that order in one pass. *)
 let fanout t =
   let out = Array.make (size t) [] in
-  Array.iteri
-    (fun sink drivers ->
-      Array.iteri
-        (fun port driver -> out.(driver) <- (sink, port) :: out.(driver))
-        drivers)
-    t.fanin;
-  Array.map List.rev out
+  for sink = size t - 1 downto 0 do
+    let drivers = t.fanin.(sink) in
+    for port = Array.length drivers - 1 downto 0 do
+      let driver = drivers.(port) in
+      out.(driver) <- (sink, port) :: out.(driver)
+    done
+  done;
+  out
 
 (* Content digest ------------------------------------------------------- *)
 

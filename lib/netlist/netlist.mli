@@ -63,7 +63,7 @@ val size : t -> int
 
 val fanout : t -> (int * int) list array
 (** Per component: the (sink component, sink input port) pairs it
-    drives. *)
+    drives, ascending by sink, then by port. *)
 
 val digest : t -> string
 (** Stable content hash (hex) of the observable circuit: components are

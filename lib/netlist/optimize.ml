@@ -38,7 +38,9 @@ let fold_and_dedup (nl : Netlist.t) =
           r
         | `Const _ as r -> r)
   in
-  let dedup : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  (* dedup keys: (operator tag, driver, driver), commutative operands in
+     ascending order; a constant keys on its value *)
+  let dedup : (int * int * int, int) Hashtbl.t = Hashtbl.create n in
   let changed = ref false in
   (* process in topological-ish order: index order works because the
      extraction emits children first except across feedback, where dffs
@@ -55,7 +57,7 @@ let fold_and_dedup (nl : Netlist.t) =
     (match comp with
     | Netlist.Constant b ->
       (* canonicalize multiple constants *)
-      let key = Printf.sprintf "const%b" b in
+      let key = (0, Bool.to_int b, 0) in
       (match Hashtbl.find_opt dedup key with
       | Some j when j <> i -> set (To j)
       | _ -> Hashtbl.replace dedup key i)
@@ -72,15 +74,11 @@ let fold_and_dedup (nl : Netlist.t) =
                 | `Comp x -> set (To x)
                 | `Const b -> set (Const b))
             | _ ->
-              let key = Printf.sprintf "inv:%d" d in
+              let key = (1, d, 0) in
               (match Hashtbl.find_opt dedup key with
               | Some j when j <> i -> set (To j)
               | _ -> Hashtbl.replace dedup key i)))
     | Netlist.And2c | Netlist.Or2c | Netlist.Xor2c -> (
-        let commutative_key tag a b =
-          if a <= b then Printf.sprintf "%s:%d,%d" tag a b
-          else Printf.sprintf "%s:%d,%d" tag b a
-        in
         match (comp, driver 0, driver 1) with
         (* and *)
         | Netlist.And2c, `Const false, _ | Netlist.And2c, _, `Const false ->
@@ -108,11 +106,11 @@ let fold_and_dedup (nl : Netlist.t) =
         | (Netlist.And2c | Netlist.Or2c | Netlist.Xor2c), `Comp x, `Comp y ->
           let tag =
             match comp with
-            | Netlist.And2c -> "and"
-            | Netlist.Or2c -> "or"
-            | _ -> "xor"
+            | Netlist.And2c -> 2
+            | Netlist.Or2c -> 3
+            | _ -> 4
           in
-          let key = commutative_key tag x y in
+          let key = (tag, min x y, max x y) in
           (match Hashtbl.find_opt dedup key with
           | Some j when j <> i -> alias.(i) <- To j
           | _ -> Hashtbl.replace dedup key i)

@@ -320,11 +320,14 @@ let suite =
         check_string "named" "and2#2(g)" (N.describe named 2));
     (* --- ternary reference evaluator --- *)
     tc "ternary_values: constants propagate, state is X" (fun () ->
-        let v = Sim.ternary_values fx_const_gate in
+        let v =
+          Sim.ternary_values fx_const_gate (Levelize.compute fx_const_gate)
+        in
         check_bool "and2 with const0 leg is known F" true (v.(2) = T.F);
-        let vu = Sim.ternary_values fx_uninit in
+        let lu = Levelize.compute fx_uninit in
+        let vu = Sim.ternary_values fx_uninit lu in
         check_bool "self-holding dff stays X" true (vu.(0) = T.X);
-        let vr = Sim.ternary_values ~respect_init:true fx_uninit in
+        let vr = Sim.ternary_values ~respect_init:true fx_uninit lu in
         check_bool "respect_init makes it known" true (vr.(0) = T.F));
     (* --- Certify --- *)
     tc "certify: Optimize + rank_major on the CPU system netlist" (fun () ->
@@ -358,7 +361,8 @@ let suite =
             cex.Certify.inputs;
           (* replay the counterexample on the reference simulator: the
              two netlists must really disagree at the reported cycle *)
-          let s1 = Sim.packed_create pre and s2 = Sim.packed_create post in
+          let s1 = Sim.packed_create pre (Levelize.compute pre)
+          and s2 = Sim.packed_create post (Levelize.compute post) in
           for c = 0 to cex.Certify.cycle do
             List.iter
               (fun (name, bits) ->

@@ -9,6 +9,7 @@
 open Util
 module N = Hydra_netlist.Netlist
 module Optimize = Hydra_netlist.Optimize
+module Levelize = Hydra_netlist.Levelize
 module T = Hydra_core.Ternary
 module D = Hydra_analyze.Diagnostic
 module Dataflow = Hydra_analyze.Dataflow
@@ -199,7 +200,10 @@ let suite =
            fixpoint proves the X is flushed without picking a bound *)
         let df = Dataflow.create fx_flush in
         check_bool "fixpoint: clean" true (Dataflow.reaching_x_outputs df = []);
-        let bounded = Sim.ternary_values ~inputs:T.F ~cycles:0 fx_flush in
+        let bounded =
+          Sim.ternary_values ~inputs:T.F ~cycles:0 fx_flush
+            (Dataflow.levelization df)
+        in
         check_bool "bounded at 0 cycles still unknown" true (bounded.(3) = T.X);
         check_bool "fixpoint value is known" true
           (T.is_known (Dataflow.reaching_x df).(3)));
@@ -265,8 +269,8 @@ let suite =
           check_string "output named" "x" cex.Certify.output;
           (* replay the counterexample on the reference simulator: the
              two netlists must really disagree at the reported cycle *)
-          let s1 = Sim.packed_create fx_inv
-          and s2 = Sim.packed_create post in
+          let s1 = Sim.packed_create fx_inv (Levelize.compute fx_inv)
+          and s2 = Sim.packed_create post (Levelize.compute post) in
           for c = 0 to cex.Certify.cycle do
             List.iter
               (fun (name, bits) ->

@@ -10,6 +10,7 @@ let () =
       ("arith", Test_arith.suite);
       ("regs", Test_regs.suite);
       ("netlist", Test_netlist.suite);
+      ("levelize", Test_levelize.suite);
       ("parallel", Test_parallel.suite);
       ("engine", Test_engine.suite);
       ("wide", Test_wide.suite);
@@ -30,6 +31,7 @@ let () =
       ("gaps", Test_gaps.suite);
       ("transform", Test_transform.suite);
       ("analyze", Test_analyze.suite);
+      ("pipeline", Test_pipeline.suite);
       ("dataflow", Test_dataflow.suite);
       ("campaign", Test_campaign.suite);
       ("cache", Test_cache.suite);
