@@ -1072,10 +1072,10 @@ let e21 ?(min_time = 0.2) () =
 
 (* E23 ------------------------------------------------------------------ *)
 
-(* Lane-parallel fault campaigns: `Campaign.run` grades up to 61 faults
-   per wide pass through per-lane force masks (lane 0 golden), vs the
-   historic loop that rewrites the netlist and recompiles an engine once
-   per fault.  Both graders run the identical task — stuck-at faults
+(* Lane-parallel fault campaigns: `Campaign.run` grades faults 62 lanes
+   at a time through per-lane force masks, refilling each lane as its
+   fault is detected, vs the historic loop that rewrites the netlist and
+   recompiles an engine once per fault.  Both graders run the identical task — stuck-at faults
    against the same test vectors — so faults/s is directly comparable;
    the recompile baseline is timed on a small fault subset and scaled to
    per-fault cost (running it over all of wallace64's faults would take
@@ -1687,7 +1687,7 @@ let e28 () =
   let cycles = 6 in
   let stimulus = C.random_stimulus ~seed:11 ~cycles nl in
   let k = 4 in
-  let chunks = Scheduler.chunking ~reserved:1 ~lanes:(62 * k) nf in
+  let chunks = C.chunking ~lanes:(62 * k) ~members:2 ~cycles nf in
   row "  wallace64: %d stuck-at faults, slab k=%d, %d chunks, 2 domains\n" nf
     k chunks.Scheduler.count;
   let sch = Scheduler.create ~domains:2 () in

@@ -416,6 +416,15 @@ let faults_cmd =
             exit 2)
         max_lanes
     in
+    if cycles < 0 then begin
+      Printf.eprintf "faults: --cycles %d: must be at least 0\n" cycles;
+      exit 2
+    end;
+    (match max_faults with
+    | Some n when n < 0 ->
+      Printf.eprintf "faults: --max-faults %d: must be at least 0\n" n;
+      exit 2
+    | _ -> ());
     let targets = (if all || smoke then lint_catalogue else []) @ targets in
     if targets = [] then begin
       prerr_endline

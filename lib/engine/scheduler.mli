@@ -137,7 +137,10 @@ val submit :
 
 val depend : t -> job:job -> on:job list -> unit
 (** Add dependencies to a submitted job (before its first task is
-    claimed, typically right after {!submit}). *)
+    claimed, typically right after {!submit}).  A job submitted while
+    {!run} is executing — from a task body — is claimable at once, so
+    another member may run it before a later [depend] lands; gate such
+    a job with [?deps] at {!submit} instead. *)
 
 val cancel : t -> job -> unit
 (** Cancel a pending or running job: unclaimed tasks are never claimed,
@@ -215,6 +218,7 @@ val chunking : ?reserved:int -> lanes:int -> int -> chunks
 (** The one lane-packing computation shared by Campaign, Equiv and
     Testbench (each used to hand-roll its own): pack [total] cases
     [per_chunk = lanes - reserved] at a time, where [?reserved]
-    (default 0) lanes per chunk stay with the client — Campaign reserves
-    lane 0 of every chunk for the golden (fault-free) run.  Raises
-    [Invalid_argument] unless [0 <= reserved < lanes]. *)
+    (default 0) lanes per chunk stay with the client, e.g. one for a
+    golden (fault-free) run.  Campaign sizes its chunks with
+    {!Hydra_verify.Campaign.chunking} and packs them through this.
+    Raises [Invalid_argument] unless [0 <= reserved < lanes]. *)

@@ -493,7 +493,10 @@ let check_word what t w =
          what w t.k)
 
 (* Every mutation funnels through here: masked write + (when gating)
-   change detection and consumer marking. *)
+   change detection and consumer marking.  A poked dff state also marks
+   its own latch cluster: the ungated tick re-latches every dff from its
+   driver, so the poked value must not outlive the next tick just
+   because the driver did not change. *)
 let write_word t comp w v =
   let v = v land lane_mask in
   let idx = (comp * t.k) + w in
@@ -504,6 +507,9 @@ let write_word t comp w v =
          its consumers once, not once per word *)
       if t.last_marked <> comp then begin
         mark_comp t comp;
+        let j = t.dff_of_comp.(comp) in
+        if j >= 0 then
+          mark_bit t.dff_dirty (j / t.prog.Kernel.dffs_per_cluster);
         t.last_marked <- comp
       end
     end

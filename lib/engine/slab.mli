@@ -144,7 +144,8 @@ val poke : t -> int -> int -> unit
 val poke_word : t -> int -> int -> int -> unit
 (** [poke_word t i w v].  On a gated engine pokes are change-detected and
     mark the reader blocks (and dff sink clusters) dirty, so they
-    compose with gating. *)
+    compose with gating; a poked dff is re-latched from its driver at
+    the next [tick], exactly as on an ungated engine. *)
 
 type force = {
   f_site : int;  (** component index in {!netlist} *)

@@ -1,9 +1,9 @@
-(** Lane-parallel fault-injection campaigns: lane 0 of a
-    {!Hydra_engine.Compiled_wide} runs the golden circuit while lanes
-    1..61 each run a distinct fault injected at runtime through per-lane
-    force masks — no per-fault netlist rewriting or recompilation.
-    Fault lists larger than one word chunk over
-    {!Hydra_engine.Sharded.run_tasks}. *)
+(** Lane-parallel fault-injection campaigns: every lane of a
+    {!Hydra_engine.Compiled_wide} or {!Hydra_engine.Slab} engine runs a
+    distinct fault injected at runtime through per-lane force masks — no
+    per-fault netlist rewriting or recompilation.  A lane retires its
+    fault when it is detected and takes the next one; fault lists chunk
+    over {!Hydra_engine.Sharded.run_tasks} or a scheduler job. *)
 
 type fault =
   | Stuck_at of { site : int; value : bool }
@@ -75,6 +75,8 @@ val stimulus_of_vectors :
 
 val random_stimulus :
   seed:int -> cycles:int -> Hydra_netlist.Netlist.t -> (string * bool list) list
+(** [cycles] seeded random bits per input port.  Raises
+    [Invalid_argument] on negative [cycles]. *)
 
 val run :
   ?scheduler:Hydra_engine.Scheduler.t ->
@@ -101,8 +103,21 @@ val run :
     are excluded from the divergence comparison and instead sampled as
     ever-asserted per lane into {!verdict.status}.
 
-    With the default [~engine:`Wide], at most 61 faults run per engine
-    pass; larger lists chunk over a sharded engine — [?sharded] reuses
+    Each chunk of faults runs as one lane-refill loop on one engine.
+    Lane 0 runs the golden circuit for the chunk's first window only,
+    recording the golden outputs per cycle and the final golden dff
+    state, then takes a fault.  Every lane runs its fault on its own
+    clock from power-up and retires it when an output diverges (with
+    [status_outputs], only at the end of its window, since flags are
+    sampled over the whole window) or when its window ends; the lane
+    is then reset to power-up (dffs and constants, in that lane only)
+    and takes the next fault of the chunk.  The faults are split evenly
+    over the team members, every chunk holding between one full pass
+    (lanes - 1 faults) and lanes x [cycles] faults; each chunk
+    recomputes from reset.
+
+    With the default [~engine:`Wide] the engine has 62 lanes; lists
+    longer than one chunk run over a sharded engine — [?sharded] reuses
     one (it must be compiled from exactly this netlist with
     [~optimize:false ~relayout:false ~fuse:false]; registered forces are
     cleared), otherwise one is created with [?domains] and shut down
@@ -110,8 +125,7 @@ val run :
     inline on one wide engine.
 
     With [~engine:(`Slab k)] the campaign runs on a K-word
-    {!Hydra_engine.Slab}: [62*k - 1] faults per engine pass (so a whole
-    [all_stuck_at] list often fits in one), chunked over a slab-sharded
+    {!Hydra_engine.Slab} of [62*k] lanes, chunked over a slab-sharded
     driver built with [?domains].
 
     With [?scheduler] (mutually exclusive with [?domains]) the chunks
@@ -139,16 +153,23 @@ val run :
     with [?scheduler] the policy rides on the job and attempts are
     journaled in its trail.  [?admission] reserves the engine's lane
     demand against a shared budget: an over-budget [`Slab k] request is
-    {e degraded} to fewer slab words (same verdicts, smaller passes)
+    {e degraded} to fewer slab words (same verdicts, fewer lanes)
     rather than rejected, and only a budget with less than one word
     free sheds the campaign ({!Hydra_engine.Resilience.Shed}).
     [?chaos] dresses every chunk with a seeded {!Chaos} injection point
     — the soak-test harness.
 
-    Raises [Invalid_argument] on an invalid netlist, an out-of-range or
-    outport fault site, an SEU site that is not a dff, an intermittent
+    Raises [Invalid_argument] on negative [cycles], an invalid netlist,
+    an out-of-range or outport fault site, an SEU site that is not a dff, an intermittent
     rate outside [0,1], or stimulus/status names not matching the
     netlist's ports. *)
+
+val chunking :
+  lanes:int -> members:int -> cycles:int -> int -> Hydra_engine.Scheduler.chunks
+(** [chunking ~lanes ~members ~cycles nfaults]: how {!run} splits
+    [nfaults] faults on an engine of [lanes] lanes driven by a team of
+    [members] — evenly over the members, every chunk holding between
+    [lanes - 1] and [lanes * cycles] faults. *)
 
 val replay : report -> fault -> verdict
 (** Re-run one fault alone against the report's recorded stimulus and

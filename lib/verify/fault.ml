@@ -9,7 +9,7 @@
 
    Since the campaign engine landed this module is a thin compatibility
    layer over {!Campaign}: faults are injected as per-lane force masks
-   at runtime (61 faults per engine pass, chunked across domains) rather
+   at runtime (a fault per lane, chunked across domains) rather
    than by rewriting and recompiling the netlist once per fault.
    [inject]/[response] keep the old rewriting semantics for callers that
    want a standalone faulty netlist, and [coverage_recompile] preserves

@@ -2,8 +2,8 @@
     distinguishes a faulty circuit from a good one — the manufacturing-
     test side of the simulation tooling (paper section 4.2).
 
-    Grading runs on the lane-parallel {!Campaign} engine (61 faults per
-    pass, chunked across domains) — no per-fault netlist rewriting or
+    Grading runs on the lane-parallel {!Campaign} engine (a fault per
+    lane, chunked across domains) — no per-fault netlist rewriting or
     recompilation — with results bit-identical to the historic loop,
     which survives as {!coverage_recompile}. *)
 

@@ -10,6 +10,7 @@ module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
 module W = Hydra_engine.Compiled_wide
 module Sharded = Hydra_engine.Sharded
+module Scheduler = Hydra_engine.Scheduler
 module Fault = Hydra_verify.Fault
 module C = Hydra_verify.Campaign
 module Lint = Hydra_analyze.Lint
@@ -58,6 +59,198 @@ let check_cov_equal name (a : Fault.coverage) (b : Fault.coverage) =
   check_int (name ^ ": detected") a.Fault.detected b.Fault.detected;
   check_bool (name ^ ": undetected lists") true
     (a.Fault.undetected = b.Fault.undetected)
+
+(* ---- the fixed-pass oracle ----
+
+   The campaign loop as it was before lane refill: every fault of a
+   61-fault pass runs all [cycles] cycles beside a golden lane 0 of the
+   same wide engine, and the pass is classified at its end.  Kept here
+   as the reference the lane-refill loop must reproduce verdict for
+   verdict. *)
+let fixed_pass_run ?(status_outputs = []) nl ~faults ~stimulus ~cycles =
+  let sim = W.create ~optimize:false ~relayout:false ~fuse:false nl in
+  let streams =
+    Array.of_list
+      (List.map
+         (fun (name, site) ->
+           let words = Array.make (max cycles 1) 0 in
+           (match List.assoc_opt name stimulus with
+           | None -> ()
+           | Some bits ->
+             List.iteri
+               (fun c b -> if c < cycles && b then words.(c) <- W.lane_mask)
+               bits);
+           (site, words))
+         nl.N.inputs)
+  in
+  let status_sites =
+    Array.of_list
+      (List.map (fun name -> (name, List.assoc name nl.N.outputs)) status_outputs)
+  in
+  let compare_sites =
+    Array.of_list
+      (List.filter (fun (name, _) -> not (List.mem name status_outputs)) nl.N.outputs)
+  in
+  let dffs = Array.of_list (C.dff_sites nl) in
+  let faults_arr = Array.of_list faults in
+  let nfaults = Array.length faults_arr in
+  let verdicts = Array.make nfaults None in
+  let run_pass lo hi =
+    let count = hi - lo in
+    let bit_of k = 1 lsl (k + 1) in
+    let live = ref 0 in
+    for k = 0 to count - 1 do
+      live := !live lor bit_of k
+    done;
+    W.clear_forces sim;
+    W.reset sim;
+    let forces = ref [] and seus = ref [] and inters = ref [] in
+    for k = 0 to count - 1 do
+      let force site =
+        let f = { W.f_site = site; force0 = 0; force1 = 0; flip = 0 } in
+        forces := f :: !forces;
+        f
+      in
+      match faults_arr.(lo + k) with
+      | C.Stuck_at { site; value } ->
+        let f = force site in
+        if value then f.W.force1 <- bit_of k else f.W.force0 <- bit_of k
+      | C.Seu { site; at_cycle } -> seus := (at_cycle, site, bit_of k) :: !seus
+      | C.Intermittent { site; rate; seed } ->
+        inters := (force site, bit_of k, rate, Random.State.make [| seed; site |]) :: !inters
+    done;
+    W.set_forces sim (Array.of_list (List.rev !forces));
+    let inters = List.rev !inters in
+    let det_cycle = Array.make (max count 1) (-1) in
+    let det_out = Array.make (max count 1) "" in
+    let undet = ref !live in
+    let status_acc = Array.make (Array.length status_sites) 0 in
+    for cycle = 0 to cycles - 1 do
+      Array.iter (fun (site, svs) -> W.poke sim site svs.(cycle)) streams;
+      List.iter
+        (fun (c, site, bit) ->
+          if c = cycle then W.poke sim site (W.peek sim site lxor bit))
+        !seus;
+      List.iter
+        (fun (f, bit, rate, st) ->
+          f.W.flip <- (if Random.State.float st 1.0 < rate then bit else 0))
+        inters;
+      W.settle sim;
+      Array.iter
+        (fun (oname, osite) ->
+          let gext = -(W.peek sim osite land 1) in
+          let diff = (W.peek sim osite lxor gext) land !undet in
+          for k = 0 to count - 1 do
+            if diff land bit_of k <> 0 then begin
+              det_cycle.(k) <- cycle;
+              det_out.(k) <- oname
+            end
+          done;
+          undet := !undet land lnot diff)
+        compare_sites;
+      Array.iteri
+        (fun si (_, ssite) -> status_acc.(si) <- status_acc.(si) lor W.peek sim ssite)
+        status_sites;
+      W.tick sim
+    done;
+    let state_diff =
+      Array.fold_left
+        (fun acc site ->
+          acc lor ((W.peek sim site lxor -(W.peek sim site land 1)) land !live))
+        0 dffs
+    in
+    for k = 0 to count - 1 do
+      let fault = faults_arr.(lo + k) in
+      let classification =
+        if det_cycle.(k) >= 0 then
+          let injection = match fault with C.Seu { at_cycle; _ } -> at_cycle | _ -> 0 in
+          C.Detected
+            { latency = det_cycle.(k) - injection; cycle = det_cycle.(k); output = det_out.(k) }
+        else if state_diff land bit_of k <> 0 then C.Latent
+        else C.Masked
+      in
+      let status =
+        Array.to_list
+          (Array.mapi (fun si (sname, _) -> (sname, status_acc.(si) land bit_of k <> 0)) status_sites)
+      in
+      verdicts.(lo + k) <- Some { C.fault; name = C.fault_name nl fault; classification; status }
+    done;
+    W.clear_forces sim
+  in
+  let per_pass = W.lanes - 1 in
+  let lo = ref 0 in
+  while !lo < nfaults do
+    run_pass !lo (min nfaults (!lo + per_pass));
+    lo := !lo + per_pass
+  done;
+  Array.to_list (Array.map Option.get verdicts)
+
+(* Random sequential circuits for the oracle comparison: gates, plain
+   dffs, constants and xor-accumulator registers (feedback loops, so
+   upsets can stay latent), over three inputs. *)
+type node = Ninv | Nand | Nor | Nxor | Ndff | Nconst of bool | Nacc
+
+let gen_circuit =
+  QCheck2.Gen.(
+    list_size (int_range 2 24)
+      (triple
+         (frequency
+            [ (3, oneofl [ Ninv; Nand; Nor; Nxor ]); (2, return Ndff);
+              (1, map (fun b -> Nconst b) bool); (1, return Nacc) ])
+         (int_bound 1000) (int_bound 1000)))
+
+let circuit_netlist nodes =
+  let ins = [ G.input "a"; G.input "b"; G.input "c" ] in
+  let pool = ref (Array.of_list ins) in
+  List.iter
+    (fun (op, s1, s2) ->
+      let arr = !pool in
+      let a = arr.(s1 mod Array.length arr) and b = arr.(s2 mod Array.length arr) in
+      let v =
+        match op with
+        | Ninv -> G.inv a
+        | Nand -> G.and2 a b
+        | Nor -> G.or2 a b
+        | Nxor -> G.xor2 a b
+        | Ndff -> G.dff a
+        | Nconst v -> G.and2 a (G.constant v)
+        | Nacc -> G.feedback (fun q -> G.dff (G.xor2 q a))
+      in
+      pool := Array.append arr [| v |])
+    nodes;
+  let arr = !pool in
+  let n = Array.length arr in
+  N.extract ~inputs:ins
+    ~outputs:(List.init (min 3 n) (fun i -> (Printf.sprintf "o%d" i, arr.(n - 1 - i))))
+
+(* Every fault model on every site kind a campaign accepts: stuck-at on
+   gates, dffs, inports and constants; SEUs before, inside and past the
+   window; intermittents.  Sampled with repetition, so the list is long
+   enough to refill lanes and leave a partial last chunk. *)
+let random_faults nl ~cycles st n =
+  let sites = Array.init (N.size nl) Fun.id in
+  let faultable =
+    Array.of_list
+      (List.filter
+         (fun i -> match nl.N.components.(i) with N.Outport _ -> false | _ -> true)
+         (Array.to_list sites))
+  in
+  let dffs = Array.of_list (C.dff_sites nl) in
+  List.init n (fun _ ->
+      let pick a = a.(Random.State.int st (Array.length a)) in
+      match Random.State.int st 4 with
+      | 0 when Array.length dffs > 0 ->
+        C.Seu { site = pick dffs; at_cycle = Random.State.int st (cycles + 3) - 1 }
+      | 1 ->
+        C.Intermittent
+          { site = pick faultable; rate = Random.State.float st 1.0; seed = Random.State.bits st }
+      | _ -> C.Stuck_at { site = pick faultable; value = Random.State.bool st })
+
+let refill_case =
+  QCheck2.Gen.(
+    quad gen_circuit (oneofl [ 0; 1; 2; 5; 16 ]) (int_range 1 600) (pair int bool))
+
+let shared_scheduler = lazy (Scheduler.create ~domains:2 ())
 
 let suite =
   [
@@ -547,4 +740,50 @@ let suite =
               (C.run ~sharded:sh ~engine:(`Slab 2) nl ~faults ~stimulus:[]
                  ~cycles:1));
         Sharded.shutdown sh);
+    (* ---- lane refill ---- *)
+    tc "campaign: negative cycle counts are rejected" (fun () ->
+        let nl = fig1 () in
+        Alcotest.check_raises "run"
+          (Invalid_argument "Campaign.run: cycles must be >= 0") (fun () ->
+            ignore
+              (C.run nl
+                 ~faults:[ C.Stuck_at { site = 1; value = true } ]
+                 ~stimulus:[] ~cycles:(-1)));
+        Alcotest.check_raises "random_stimulus"
+          (Invalid_argument "Campaign.random_stimulus: cycles must be >= 0")
+          (fun () -> ignore (C.random_stimulus ~seed:1 ~cycles:(-3) nl)));
+    qc ~count:100 "campaign: lane refill reproduces the fixed-pass loop"
+      refill_case (fun (nodes, cycles, nfaults, (seed, with_status)) ->
+        let nl = circuit_netlist nodes in
+        let faults =
+          random_faults nl ~cycles (Random.State.make [| seed |]) nfaults
+        in
+        let stimulus = C.random_stimulus ~seed ~cycles nl in
+        let status_outputs = if with_status then [ "o0" ] else [] in
+        let oracle =
+          fixed_pass_run ~status_outputs nl ~faults ~stimulus ~cycles
+        in
+        let sh = Sharded.create ~optimize:false ~relayout:false ~fuse:false nl in
+        let sch = Lazy.force shared_scheduler in
+        let agrees ?scheduler ?sharded ?domains ?gating engine =
+          (C.run ?scheduler ?sharded ?domains ~engine ?gating ~status_outputs
+             nl ~faults ~stimulus ~cycles)
+            .C.verdicts
+          = oracle
+        in
+        let ok =
+          agrees `Wide
+          && agrees ~domains:2 `Wide
+          && agrees ~sharded:sh `Wide
+          && agrees ~scheduler:sch `Wide
+          && List.for_all
+               (fun k ->
+                 agrees ~domains:1 (`Slab k)
+                 && agrees ~gating:true (`Slab k)
+                 && agrees ~domains:2 (`Slab k)
+                 && agrees ~scheduler:sch ~gating:true (`Slab k))
+               [ 1; 2; 4 ]
+        in
+        Sharded.shutdown sh;
+        ok);
   ]

@@ -415,14 +415,16 @@ let backstop_tests =
     tc "mid-run-submitted cycle trips the backstop, scheduler reusable"
       (fun () ->
         let sch = Scheduler.create ~domains:2 () in
-        let d1r = ref None and d2r = ref None in
+        let d1r = ref None and d2r = ref None and xr = ref None in
         let x =
           Scheduler.submit ~name:"x" sch ~tasks:1 (fun ~member:_ _ ->
               (* the up-front check in [run] cannot see this cycle: it is
-                 created while the team is already running *)
+                 created while the team is already running.  A job
+                 submitted mid-run is claimable at once, so [d1] waits on
+                 [x] until the cycle is closed. *)
               let d1 =
-                Scheduler.submit ~name:"d1" sch ~tasks:1 (fun ~member:_ _ ->
-                    Alcotest.fail "cyclic job ran")
+                Scheduler.submit ~name:"d1" ~deps:[ Option.get !xr ] sch
+                  ~tasks:1 (fun ~member:_ _ -> Alcotest.fail "cyclic job ran")
               in
               let d2 =
                 Scheduler.submit ~name:"d2" ~deps:[ d1 ] sch ~tasks:1
@@ -432,6 +434,7 @@ let backstop_tests =
               d1r := Some d1;
               d2r := Some d2)
         in
+        xr := Some x;
         (match Scheduler.run sch with
         | () -> Alcotest.fail "mid-run cycle not detected"
         | exception Scheduler.Dependency_cycle w ->
@@ -475,13 +478,18 @@ let backstop_tests =
       QCheck2.Gen.(pair (int_range 2 4) (int_range 1 6))
       (fun (ring, extra) ->
         let sch = Scheduler.create ~domains:2 () in
-        let _driver =
-          Scheduler.submit ~name:"driver" sch ~tasks:1 (fun ~member:_ _ ->
+        let driver = ref None in
+        driver :=
+          Some
+            (Scheduler.submit ~name:"driver" sch ~tasks:1 (fun ~member:_ _ ->
+              (* gated on the driver: a job submitted mid-run is
+                 claimable at once, and a ring job run before the ring
+                 is linked leaves no cycle to trip on *)
               let jobs =
                 List.init ring (fun i ->
                     Scheduler.submit
                       ~name:(Printf.sprintf "ring%d" i)
-                      sch ~tasks:1
+                      ~deps:[ Option.get !driver ] sch ~tasks:1
                       (fun ~member:_ _ -> ()))
               in
               (* close the ring: each depends on the next, last on first *)
@@ -493,8 +501,7 @@ let backstop_tests =
                   Scheduler.depend sch ~job:last ~on:[ List.hd jobs ]
                 | [] -> ()
               in
-              link jobs)
-        in
+              link jobs));
         let tripped =
           match Scheduler.run sch with
           | () -> false

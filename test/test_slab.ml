@@ -636,4 +636,28 @@ let suite =
         phase 90 true;
         phase 40 false;
         phase 90 true);
+    tc "gated dff pokes are re-latched at the next tick" (fun () ->
+        (* the driver never changes, so only the poke itself can mark the
+           dff's latch cluster; an ungated tick re-latches every dff *)
+        let a = G.input "a" in
+        let nl = N.extract ~inputs:[ a ] ~outputs:[ ("q", G.dff a) ] in
+        List.iter
+          (fun gating ->
+            let s = Slab.create ~k:2 ~gating nl in
+            let nl' = Slab.netlist s in
+            let q = ref (-1) in
+            Array.iteri
+              (fun i c -> match c with N.Dffc _ -> q := i | _ -> ())
+              nl'.N.components;
+            Slab.settle s;
+            Slab.tick s;
+            Slab.poke_word s !q 1 0b1011;
+            Slab.settle s;
+            check_int "poked state visible" 0b1011 (Slab.output_word s "q" 1);
+            Slab.tick s;
+            Slab.settle s;
+            check_int
+              (Printf.sprintf "re-latched from the driver (gating %b)" gating)
+              0 (Slab.output_word s "q" 1))
+          [ false; true ]);
   ]
