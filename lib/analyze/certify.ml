@@ -104,8 +104,8 @@ let ports_preserved pre post =
    [passes] passes of 62 random stimulus streams, [cycles] cycles each,
    deterministic in [seed]. *)
 let io_equiv ?(passes = 2) ?(cycles = 16) ?(seed = 0x5eed) pre post =
-  let s1 = Sim.packed_create pre (Levelize.compute pre)
-  and s2 = Sim.packed_create post (Levelize.compute post) in
+  let packed nl = Sim.packed_create (Sim.flatten nl (Levelize.compute nl)) in
+  let s1 = packed pre and s2 = packed post in
   let in_names = List.map fst pre.Netlist.inputs in
   let out_names = List.map fst pre.Netlist.outputs in
   let result = ref (Ok ()) in

@@ -1,5 +1,5 @@
-(** Fixpoint dataflow analyses over netlists: a generic worklist solver
-    with pluggable lattice domains, plus four clients — sequential
+(** Fixpoint dataflow analyses over netlists: one worklist solver over
+    int-coded lattice values, plus four clients — sequential
     constant propagation through flip flops from the reset state,
     definitive reaching-X (power-up unknowns), backward observability,
     and equivalence-class detection by partition refinement.  Feeds the
@@ -14,34 +14,39 @@ type solve_stats = {
   updates : int;  (** pops whose recomputed value changed *)
 }
 
+type succs = { off : int array; dst : int array }
+(** Successors in compressed sparse rows: node [i]'s successors are
+    [dst.(off.(i)) .. dst.(off.(i + 1) - 1)], in the order they are
+    queued. *)
+
 val solve :
-  ?frozen:(int -> bool) ->
-  n:int ->
-  equal:('a -> 'a -> bool) ->
-  succs:(int -> int list) ->
-  transfer:((int -> 'a) -> int -> 'a) ->
-  init:(int -> 'a) ->
-  unit ->
-  'a array * solve_stats
-(** Chaotic iteration over nodes [0..n-1]: seed every non-frozen node,
-    pop, recompute [transfer get i] (reading neighbours through [get]),
-    and requeue [succs i] on change.  When [init] is a pre-fixpoint
-    ([init i ⊑ transfer init i]) and every transfer is monotone over a
-    finite-height lattice, this terminates at the least fixpoint above
-    [init] regardless of visit order.  [frozen] nodes keep their [init]
-    value and are never recomputed (used to pin components on
-    combinational cycles at X). *)
+  ?frozen:bool array ->
+  succs:succs ->
+  transfer:(int array -> int -> int) ->
+  int array ->
+  int array * solve_stats
+(** [solve ~succs ~transfer init]: chaotic iteration over nodes
+    [0 .. n-1] of int-coded lattice values, starting from (and updating
+    in place) [init]: seed every non-frozen node in index order, pop
+    first-in first-out, recompute [transfer values i] (reading
+    neighbours from [values]), and queue [succs] of [i] on change.  When
+    [init] is a pre-fixpoint ([init.(i) ⊑ transfer init i]) and every
+    transfer is monotone over a finite-height lattice, this terminates
+    at the least fixpoint above [init] regardless of visit order.
+    [frozen] nodes (an array as long as [init]) keep their [init] value
+    and are never recomputed (used to pin components on combinational
+    cycles at X).  A visit allocates nothing. *)
 
 type t
 (** Memoized analysis state for one netlist: each analysis runs at most
     once, later queries are free. *)
 
 val create : Hydra_netlist.Netlist.t -> t
-(** Validates, levelizes and computes the fanout, once: every analysis
-    over [t] (and every {!Sim} call it makes) reuses that one
-    levelization, which by construction is the same netlist's.  Raises
-    [Invalid_argument] on a malformed netlist — the analyses index arrays
-    with fanin numbers unchecked. *)
+(** Validates, levelizes, flattens ({!Sim.flatten}) and computes the
+    fanout, once: every analysis over [t] (and every {!Sim} call it
+    makes) reuses that one levelization, which by construction is the
+    same netlist's.  Raises [Invalid_argument] on a malformed netlist —
+    the analyses index arrays with fanin numbers unchecked. *)
 
 val netlist : t -> Hydra_netlist.Netlist.t
 
@@ -49,9 +54,13 @@ val levelization : t -> Hydra_netlist.Levelize.t
 (** The netlist's levelization, computed once by {!create} and shared by
     every analysis over [t] (and by {!Lint.run}'s structural rules). *)
 
-val fanout : t -> (int * int) list array
-(** The netlist's {!Hydra_netlist.Netlist.fanout}, computed once by
-    {!create}.  Shared, do not mutate. *)
+val flat : t -> Sim.flat
+(** The netlist's {!Sim.flat} view over {!levelization}, built once by
+    {!create} and shared by every evaluation over [t]. *)
+
+val fanout_count : t -> int -> int
+(** Number of sink ports component [i] drives (the length of its
+    {!Hydra_netlist.Netlist.fanout} list). *)
 
 val constants : t -> Hydra_core.Ternary.t array
 (** Sequential constant propagation.  A known value means the component
@@ -85,6 +94,11 @@ val observable : t -> bool array
 (** Backward observability: a component is observable when it is an
     output port or some sink of it transmits, where a sink whose own
     value is a known sequential constant transmits nothing. *)
+
+val live : t -> bool array
+(** Structural liveness: components from which some output port is
+    reachable through fanin edges (outputs included).  Computed once;
+    shared, do not mutate. *)
 
 val masked : t -> int list
 (** Gates and flip flops that structurally reach an output but are not

@@ -34,11 +34,10 @@ let default_config =
 type ctx = {
   nl : Netlist.t;
   config : config;
-  lv : Levelize.t;  (* the run's one levelization, from the Dataflow.t *)
-  fanout : (int * int) list array;  (* likewise *)
-  tern_free : T.t array Lazy.t;
+  df : Dataflow.t;  (* the run's one levelization, fanout and liveness *)
+  tern_free : int array Lazy.t;
       (* inputs X, state X, cycle 0: known values are structural constants *)
-  tern_zero : T.t array Lazy.t;
+  tern_zero : int array Lazy.t;
       (* inputs 0, state from X, after xsim_cycles: X here means the
          power-up unknowns survive *)
   df_diags : Diagnostic.t list Lazy.t;
@@ -53,6 +52,9 @@ type rule = {
 }
 
 let label ctx i = Netlist.describe ctx.nl i
+
+(* Witness labels: the first eight components of a finding. *)
+let shown ctx l = List.map (label ctx) (List.filteri (fun k _ -> k < 8) l)
 
 let diag ?(witness = []) ctx rule severity components fmt =
   ignore ctx;
@@ -69,7 +71,7 @@ let comb_cycle_rule =
     about = "combinational feedback loop (forbidden by the synchronous model)";
     check =
       (fun ctx ->
-        let lv = ctx.lv in
+        let lv = Dataflow.levelization ctx.df in
         match lv.Levelize.cyclic with
         | [] -> []
         | cyclic ->
@@ -97,9 +99,10 @@ let floating_input_rule =
     about = "declared input port drives no component";
     check =
       (fun ctx ->
-        let fanout = ctx.fanout in
         let dead =
-          List.filter (fun (_, i) -> fanout.(i) = []) ctx.nl.Netlist.inputs
+          List.filter
+            (fun (_, i) -> Dataflow.fanout_count ctx.df i = 0)
+            ctx.nl.Netlist.inputs
         in
         match dead with
         | [] -> []
@@ -123,14 +126,7 @@ let dead_logic_rule =
       (fun ctx ->
         let nl = ctx.nl in
         let n = Netlist.size nl in
-        let live = Array.make n false in
-        let rec mark i =
-          if not live.(i) then begin
-            live.(i) <- true;
-            Array.iter mark nl.Netlist.fanin.(i)
-          end
-        in
-        List.iter (fun (_, i) -> mark i) nl.Netlist.outputs;
+        let live = Dataflow.live ctx.df in
         let dead = ref [] in
         for i = n - 1 downto 0 do
           match nl.Netlist.components.(i) with
@@ -140,9 +136,7 @@ let dead_logic_rule =
         match !dead with
         | [] -> []
         | dead ->
-          let shown =
-            List.filteri (fun k _ -> k < 8) (List.map (label ctx) dead)
-          in
+          let shown = shown ctx dead in
           [
             diag ~witness:shown ctx "dead-logic" Diagnostic.Warning dead
               "%d component(s) reach no output port" (List.length dead);
@@ -164,15 +158,14 @@ let const_gate_rule =
           (fun i c ->
             match c with
             | Netlist.Invc | Netlist.And2c | Netlist.Or2c | Netlist.Xor2c ->
-              if T.is_known values.(i) then found := i :: !found
+              if T.is_known (Sim.t_of_code values.(i)) then
+                found := i :: !found
             | _ -> ())
           ctx.nl.Netlist.components;
         match List.rev !found with
         | [] -> []
         | found ->
-          let shown =
-            List.filteri (fun k _ -> k < 8) (List.map (label ctx) found)
-          in
+          let shown = shown ctx found in
           [
             diag ~witness:shown ctx "const-gate" Diagnostic.Warning found
               "%d gate(s) compute a constant regardless of inputs and \
@@ -196,16 +189,15 @@ let const_dff_rule =
           (fun i c ->
             match c with
             | Netlist.Dffc _ ->
-              if T.is_known values.(ctx.nl.Netlist.fanin.(i).(0)) then
+              let d = ctx.nl.Netlist.fanin.(i).(0) in
+              if T.is_known (Sim.t_of_code values.(d)) then
                 found := i :: !found
             | _ -> ())
           ctx.nl.Netlist.components;
         match List.rev !found with
         | [] -> []
         | found ->
-          let shown =
-            List.filteri (fun k _ -> k < 8) (List.map (label ctx) found)
-          in
+          let shown = shown ctx found in
           [
             diag ~witness:shown ctx "const-dff" Diagnostic.Warning found
               "%d flip flop(s) reload a constant every cycle"
@@ -227,7 +219,9 @@ let uninit_state_rule =
         let values = Lazy.force ctx.tern_zero in
         let nl = ctx.nl in
         let escaped =
-          List.filter (fun (_, i) -> values.(i) = T.X) nl.Netlist.outputs
+          List.filter
+            (fun (_, i) -> Sim.t_of_code values.(i) = T.X)
+            nl.Netlist.outputs
         in
         match escaped with
         | [] -> []
@@ -249,13 +243,12 @@ let uninit_state_rule =
             (fun i c ->
               match c with
               | Netlist.Dffc _ ->
-                if live.(i) && values.(i) = T.X then x_dffs := i :: !x_dffs
+                if live.(i) && Sim.t_of_code values.(i) = T.X then
+                  x_dffs := i :: !x_dffs
               | _ -> ())
             nl.Netlist.components;
           let x_dffs = List.rev !x_dffs in
-          let shown =
-            List.filteri (fun k _ -> k < 8) (List.map (label ctx) x_dffs)
-          in
+          let shown = shown ctx x_dffs in
           [
             diag ~witness:shown ctx "uninit-state" Diagnostic.Warning
               (List.sort compare (List.map snd escaped))
@@ -276,21 +269,18 @@ let fanout_hotspot_rule =
     about = "net drives more sinks than the configured threshold";
     check =
       (fun ctx ->
-        let fanout = ctx.fanout in
         let hot = ref [] in
-        Array.iteri
-          (fun i sinks ->
-            let d = List.length sinks in
-            if d > ctx.config.fanout_threshold then hot := (i, d) :: !hot)
-          fanout;
+        for i = 0 to Netlist.size ctx.nl - 1 do
+          let d = Dataflow.fanout_count ctx.df i in
+          if d > ctx.config.fanout_threshold then hot := (i, d) :: !hot
+        done;
         match List.sort (fun (_, a) (_, b) -> compare b a) !hot with
         | [] -> []
         | hot ->
           let shown =
-            List.filteri (fun k _ -> k < 8)
-              (List.map
-                 (fun (i, d) -> Printf.sprintf "%s[%d]" (label ctx i) d)
-                 hot)
+            List.map
+              (fun (i, d) -> Printf.sprintf "%s[%d]" (label ctx i) d)
+              (List.filteri (fun k _ -> k < 8) hot)
           in
           [
             diag ~witness:shown ctx "fanout-hotspot" Diagnostic.Warning
@@ -316,7 +306,7 @@ let path_budget_rule =
         match ctx.config.path_budget with
         | None -> []
         | Some budget ->
-          let lv = ctx.lv in
+          let lv = Dataflow.levelization ctx.df in
           if lv.Levelize.cyclic <> [] then []
             (* meaningless under a cycle; comb-cycle already fired *)
           else if lv.Levelize.critical_path <= budget then []
@@ -426,18 +416,17 @@ let run ?(config = default_config) nl =
     ]
   | Ok () ->
     let df = Dataflow.create nl in
-    let lv = Dataflow.levelization df in
+    let flat = Dataflow.flat df in
     let ctx =
       {
         nl;
         config;
-        lv;
-        fanout = Dataflow.fanout df;
-        tern_free = lazy (Sim.ternary_values ~inputs:T.X ~cycles:0 nl lv);
+        df;
+        tern_free = lazy (Sim.ternary_codes ~inputs:T.X ~cycles:0 flat);
         tern_zero =
           lazy
-            (Sim.ternary_values ~inputs:T.F ~respect_init:false
-               ~cycles:config.xsim_cycles nl lv);
+            (Sim.ternary_codes ~inputs:T.F ~respect_init:false
+               ~cycles:config.xsim_cycles flat);
         df_diags = lazy (Dataflow.diagnostics df);
       }
     in

@@ -97,10 +97,14 @@ let clear t =
   t.count <- 0;
   Mutex.unlock t.lock
 
+(* Physical identity first: netlists are immutable once published (the
+   digest memo relies on that too), so the same value is the same
+   circuit and a repeat lookup skips the structural compare — about a
+   millisecond on the CPU netlist, under the lock. *)
 let find_locked t key nl =
   match Hashtbl.find_opt t.table key with
   | None -> None
-  | Some l -> List.find_opt (fun e -> e.e_netlist = nl) !l
+  | Some l -> List.find_opt (fun e -> e.e_netlist == nl || e.e_netlist = nl) !l
 
 (* The one entry-removal critical section (lock held): unlink, count
    down and count the eviction as a single indivisible unit, so the

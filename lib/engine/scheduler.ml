@@ -30,8 +30,11 @@
    fails the owning job of any pool member whose heartbeat goes stale —
    with a stack-site witness — instead of hanging the team.  Deadlines,
    backoff due-times and the watchdog are driven by a ticker domain
-   that wakes parked members; it exists only while [run] executes and
-   only when some job needs it. *)
+   that wakes parked members.  It is spawned by the first [run] that
+   needs it and then lives as long as the scheduler: between runs it
+   parks on its own condition variable (no timed wakeups, nothing to
+   join), and [shutdown] joins it: spawning and joining a domain per
+   run would put a ~2 ms floor under every run with a deadline. *)
 
 module Pool = Hydra_parallel.Pool
 
@@ -83,6 +86,9 @@ type t = {
   mutable stuck : string list option;
   mutable active : (job * float) option array;  (* per member: claim *)
   mutable ticker : unit Domain.t option;
+  ticker_cv : Condition.t;  (* the ticker parks here between runs *)
+  mutable ticking : bool;  (* the current run needs the ticker *)
+  mutable closing : bool;  (* [shutdown] asks the ticker to exit *)
 }
 
 let make_t ~pool ~owns_pool ~watchdog ~admission =
@@ -103,6 +109,9 @@ let make_t ~pool ~owns_pool ~watchdog ~admission =
     stuck = None;
     active = Array.make (Pool.size pool) None;
     ticker = None;
+    ticker_cv = Condition.create ();
+    ticking = false;
+    closing = false;
   }
 
 let create ?domains ?watchdog ?admission () =
@@ -113,7 +122,6 @@ let of_pool ?watchdog ?admission pool =
 
 let pool t = t.pool
 let domains t = Pool.size t.pool
-let shutdown t = if t.owns_pool then Pool.shutdown t.pool
 let job_name j = j.name
 
 let status t j =
@@ -301,18 +309,23 @@ let rec submit ?(name = "job") ?(priority = 0) ?progress ?(deps = []) ?deadline
   (match t.admission with Some a -> shed_overload t a | None -> ());
   (* a mid-run submission with a deadline or retry policy needs the
      ticker so backoff due-times and expiries fire while members park *)
-  if
-    t.running && t.ticker = None
-    && (t.watchdog <> None || deadline <> None || retry <> None)
-  then t.ticker <- Some (Domain.spawn (fun () -> ticker_loop t));
+  if t.running && (deadline <> None || retry <> None) then start_ticking t;
   Condition.broadcast t.cv;
   Mutex.unlock t.m;
   j
 
-(* The ticker: a lightweight monitor domain alive for the duration of
-   one [run].  Every tick it reaps expired deadlines and stale members
-   and wakes the team, so a fully-parked team still observes timeouts
-   and due backoffs.  Stops when [run] clears [running]. *)
+(* The ticker: a lightweight monitor domain.  While a run that needs it
+   executes ([ticking]) it wakes every tick, reaps expired deadlines and
+   stale members and wakes the team, so a fully-parked team still
+   observes timeouts and due backoffs.  Otherwise it parks on
+   [ticker_cv] until such a run starts or [shutdown] sets [closing].
+   Lock held by the caller. *)
+and start_ticking t =
+  t.ticking <- true;
+  if t.ticker = None then
+    t.ticker <- Some (Domain.spawn (fun () -> ticker_loop t))
+  else Condition.broadcast t.ticker_cv
+
 and ticker_loop t =
   let tick =
     match t.watchdog with
@@ -320,17 +333,39 @@ and ticker_loop t =
     | None -> 0.001
   in
   let rec loop () =
-    Unix.sleepf tick;
     Mutex.lock t.m;
-    let continue_ = t.running in
-    if continue_ then begin
-      ignore (reap t ~now:(Resilience.now ()));
-      Condition.broadcast t.cv
-    end;
+    while not (t.ticking || t.closing) do
+      Condition.wait t.ticker_cv t.m
+    done;
+    let closing = t.closing in
     Mutex.unlock t.m;
-    if continue_ then loop ()
+    if not closing then begin
+      Unix.sleepf tick;
+      Mutex.lock t.m;
+      if t.ticking then begin
+        ignore (reap t ~now:(Resilience.now ()));
+        Condition.broadcast t.cv
+      end;
+      Mutex.unlock t.m;
+      loop ()
+    end
   in
   loop ()
+
+let shutdown t =
+  Mutex.lock t.m;
+  let ticker = t.ticker in
+  t.closing <- true;
+  Condition.broadcast t.ticker_cv;
+  Mutex.unlock t.m;
+  Option.iter Domain.join ticker;
+  (* a borrowed pool outlives this scheduler, which stays usable: a
+     later run that needs a ticker spawns a fresh one *)
+  Mutex.lock t.m;
+  t.ticker <- None;
+  t.closing <- false;
+  Mutex.unlock t.m;
+  if t.owns_pool then Pool.shutdown t.pool
 
 let depend t ~job ~on =
   Mutex.lock t.m;
@@ -594,23 +629,16 @@ let run t =
     t.active <- Array.make (Pool.size t.pool) None
   else Array.fill t.active 0 (Array.length t.active) None;
   if
-    t.ticker = None
-    && (t.watchdog <> None
-       || List.exists
-            (fun j -> j.deadline <> None || j.retry <> None)
-            t.jobs)
-  then t.ticker <- Some (Domain.spawn (fun () -> ticker_loop t));
+    t.watchdog <> None
+    || List.exists (fun j -> j.deadline <> None || j.retry <> None) t.jobs
+  then start_ticking t;
   Mutex.unlock t.m;
   Fun.protect
     ~finally:(fun () ->
       Mutex.lock t.m;
       t.running <- false;
-      Mutex.unlock t.m;
-      (match t.ticker with
-      | Some d ->
-        Domain.join d;
-        t.ticker <- None
-      | None -> ()))
+      t.ticking <- false;
+      Mutex.unlock t.m)
     (fun () -> Pool.run_team t.pool (fun member -> worker t member));
   Mutex.lock t.m;
   let stuck = t.stuck in

@@ -94,8 +94,9 @@ val of_pool :
   ?admission:Resilience.admission ->
   Hydra_parallel.Pool.t ->
   t
-(** A scheduler borrowing an existing pool: {!shutdown} leaves the pool
-    alive (the lender owns it). *)
+(** A scheduler borrowing an existing pool: {!shutdown} joins the
+    scheduler's ticker but leaves the pool alive (the lender owns
+    it). *)
 
 val pool : t -> Hydra_parallel.Pool.t
 (** The team this scheduler executes on — build per-member engine
@@ -169,11 +170,15 @@ val run : t -> unit
     that does re-raise).  Raises {!Dependency_cycle} with a witness if
     the dependency graph is cyclic; the submitted jobs are all
     cancelled, so the scheduler (and its pool) stay reusable.  While
-    running, a lightweight ticker domain (spawned only when some job
-    carries a deadline or retry policy, or a watchdog is armed) fires
-    deadline expiries, backoff due-times and watchdog verdicts even
-    when every member is parked.  After [run] returns the scheduler is
-    empty and reusable. *)
+    running, a lightweight ticker domain fires deadline expiries,
+    backoff due-times and watchdog verdicts even when every member is
+    parked; it ticks (every 1 ms, or a quarter of the watchdog horizon
+    if shorter) only during runs where some job carries a deadline or
+    retry policy, or a watchdog is armed.  The ticker is spawned by the
+    first such run and lives as long as the scheduler: between runs it
+    parks on a condition variable of its own (no timed wakeups, nothing
+    to join), and {!shutdown} joins it.  After [run] returns the
+    scheduler is empty and reusable. *)
 
 val status : t -> job -> status
 
@@ -204,8 +209,12 @@ val run_tasks :
     same team. *)
 
 val shutdown : t -> unit
-(** Join the pool iff this scheduler owns it ({!create}); a borrowed
-    pool ({!of_pool}) is left to its owner. *)
+(** Join the ticker domain, if a run ever spawned one, and the pool iff
+    this scheduler owns it ({!create}); a borrowed pool ({!of_pool}) is
+    left to its owner, and the scheduler over it stays usable (a later
+    run that needs a ticker spawns a fresh one).  Call it once per
+    scheduler whose runs carried deadlines, retries or a watchdog:
+    until then its ticker holds one domain of the runtime's limit. *)
 
 (** {2 Chunking policy} *)
 

@@ -254,6 +254,16 @@ let fanout t =
 
 (* Content digest ------------------------------------------------------- *)
 
+(* [Buffer.add_string buf (string_of_int k)] without the string. *)
+let add_int buf k =
+  if k < 0 then Buffer.add_char buf '-';
+  let k = abs k in
+  let rec digits k =
+    if k >= 10 then digits (k / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (k mod 10)))
+  in
+  digits k
+
 (* A stable content hash: equal for netlists that differ only in
    component numbering or port-list order, different (modulo hash
    collisions) when the observable circuit differs.
@@ -274,33 +284,37 @@ let fanout t =
 let compute_digest t =
   let n = size t in
   let canon = Array.make n (-1) in
-  let on_stack = Array.make n false in
-  let next = ref 0 in
-  let rev_order = ref [] in
+  let on_stack = Bytes.make n '\000' in
+  (* the DFS stack as two int arrays (component, next port); each
+     component is pushed at most once, so [n] slots suffice *)
+  let stack_node = Array.make n 0 and stack_port = Array.make n 0 in
+  let sp = ref 0 in
+  let order = Array.make n 0 and next = ref 0 in
+  let push c =
+    Bytes.set on_stack c '\001';
+    stack_node.(!sp) <- c;
+    stack_port.(!sp) <- 0;
+    incr sp
+  in
   let visit root =
-    if canon.(root) < 0 && not on_stack.(root) then begin
-      on_stack.(root) <- true;
-      let stack = ref [ (root, 0) ] in
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | (i, port) :: rest ->
-          let fi = t.fanin.(i) in
-          if port < Array.length fi then begin
-            stack := (i, port + 1) :: rest;
-            let c = fi.(port) in
-            if canon.(c) < 0 && not on_stack.(c) then begin
-              on_stack.(c) <- true;
-              stack := (c, 0) :: !stack
-            end
-          end
-          else begin
-            on_stack.(i) <- false;
-            canon.(i) <- !next;
-            incr next;
-            rev_order := i :: !rev_order;
-            stack := rest
-          end
+    if canon.(root) < 0 && Bytes.get on_stack root = '\000' then begin
+      push root;
+      while !sp > 0 do
+        let top = !sp - 1 in
+        let i = stack_node.(top) and port = stack_port.(top) in
+        let fi = t.fanin.(i) in
+        if port < Array.length fi then begin
+          stack_port.(top) <- port + 1;
+          let c = fi.(port) in
+          if canon.(c) < 0 && Bytes.get on_stack c = '\000' then push c
+        end
+        else begin
+          Bytes.set on_stack i '\000';
+          canon.(i) <- !next;
+          order.(!next) <- i;
+          incr next;
+          decr sp
+        end
       done
     end
   in
@@ -311,28 +325,33 @@ let compute_digest t =
     | Dffc b -> if b then "dff1" else "dff0"
     | c -> component_name c
   in
-  let buf = Buffer.create 1024 in
+  (* about one 16-byte line per component: grown at most once or twice *)
+  let buf = Buffer.create (16 * (n + 64)) in
   Buffer.add_string buf "hydra-digest 1\n";
-  List.iter
-    (fun i ->
-      Buffer.add_string buf (token t.components.(i));
-      Array.iter
-        (fun c ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int canon.(c)))
-        t.fanin.(i);
-      List.iter
-        (fun nm ->
-          Buffer.add_string buf " !";
-          Buffer.add_string buf nm)
-        t.names.(i);
-      Buffer.add_char buf '\n')
-    (List.rev !rev_order);
+  for k = 0 to !next - 1 do
+    let i = order.(k) in
+    Buffer.add_string buf (token t.components.(i));
+    Array.iter
+      (fun c ->
+        Buffer.add_char buf ' ';
+        add_int buf canon.(c))
+      t.fanin.(i);
+    List.iter
+      (fun nm ->
+        Buffer.add_string buf " !";
+        Buffer.add_string buf nm)
+      t.names.(i);
+    Buffer.add_char buf '\n'
+  done;
   let port label l =
     List.iter
       (fun (s, i) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s %s %d\n" label s canon.(i)))
+        Buffer.add_string buf label;
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf s;
+        Buffer.add_char buf ' ';
+        add_int buf canon.(i);
+        Buffer.add_char buf '\n')
       (by_name l)
   in
   port "input" t.inputs;
@@ -348,7 +367,11 @@ let compute_digest t =
     t.components;
   List.iter
     (fun (tok, count) ->
-      Buffer.add_string buf (Printf.sprintf "orphan %s %d\n" tok count))
+      Buffer.add_string buf "orphan ";
+      Buffer.add_string buf tok;
+      Buffer.add_char buf ' ';
+      add_int buf count;
+      Buffer.add_char buf '\n')
     (List.sort compare
        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) orphans []));
   Digest.to_hex (Digest.string (Buffer.contents buf))

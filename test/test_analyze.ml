@@ -321,13 +321,14 @@ let suite =
     (* --- ternary reference evaluator --- *)
     tc "ternary_values: constants propagate, state is X" (fun () ->
         let v =
-          Sim.ternary_values fx_const_gate (Levelize.compute fx_const_gate)
+          Sim.ternary_values
+            (Sim.flatten fx_const_gate (Levelize.compute fx_const_gate))
         in
         check_bool "and2 with const0 leg is known F" true (v.(2) = T.F);
-        let lu = Levelize.compute fx_uninit in
-        let vu = Sim.ternary_values fx_uninit lu in
+        let lu = Sim.flatten fx_uninit (Levelize.compute fx_uninit) in
+        let vu = Sim.ternary_values lu in
         check_bool "self-holding dff stays X" true (vu.(0) = T.X);
-        let vr = Sim.ternary_values ~respect_init:true fx_uninit lu in
+        let vr = Sim.ternary_values ~respect_init:true lu in
         check_bool "respect_init makes it known" true (vr.(0) = T.F));
     (* --- Certify --- *)
     tc "certify: Optimize + rank_major on the CPU system netlist" (fun () ->
@@ -361,8 +362,10 @@ let suite =
             cex.Certify.inputs;
           (* replay the counterexample on the reference simulator: the
              two netlists must really disagree at the reported cycle *)
-          let s1 = Sim.packed_create pre (Levelize.compute pre)
-          and s2 = Sim.packed_create post (Levelize.compute post) in
+          let packed nl =
+            Sim.packed_create (Sim.flatten nl (Levelize.compute nl))
+          in
+          let s1 = packed pre and s2 = packed post in
           for c = 0 to cex.Certify.cycle do
             List.iter
               (fun (name, bits) ->

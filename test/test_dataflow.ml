@@ -128,6 +128,80 @@ let wide_falsify ?(cycles = 16) ?(seed = 0xbead) df =
     Wide.tick w
   done
 
+(* Oracle comparison: every analysis and the worklist statistics of the
+   flat [Dataflow] against [Dataflow_ref], the list-and-closure version
+   it replaced.  [Some what] names the first result that differs. *)
+module Ref = Dataflow_ref
+
+let oracle_mismatch nl =
+  let df = Dataflow.create nl and r = Ref.create nl in
+  let stats l =
+    List.map (fun (k, s) -> (k, s.Dataflow.visits, s.Dataflow.updates)) l
+  in
+  let ref_stats l =
+    List.map (fun (k, s) -> (k, s.Ref.visits, s.Ref.updates)) l
+  in
+  List.find_map
+    (fun (what, same) -> if same () then None else Some what)
+    [
+      ("constants", fun () -> Dataflow.constants df = Ref.constants r);
+      ("reaching_x", fun () -> Dataflow.reaching_x df = Ref.reaching_x r);
+      ("observable", fun () -> Dataflow.observable df = Ref.observable r);
+      ("masked", fun () -> Dataflow.masked df = Ref.masked r);
+      ("classes", fun () -> Dataflow.classes df = Ref.classes r);
+      ( "stuck_registers",
+        fun () -> Dataflow.stuck_registers df = Ref.stuck_registers r );
+      ( "constant_components",
+        fun () -> Dataflow.constant_components df = Ref.constant_components r );
+      ( "reaching_x_outputs",
+        fun () -> Dataflow.reaching_x_outputs df = Ref.reaching_x_outputs r );
+      ("diagnostics", fun () -> Dataflow.diagnostics df = Ref.diagnostics r);
+      ("stats", fun () -> stats (Dataflow.stats df) = ref_stats (Ref.stats r));
+    ]
+
+(* The flat evaluators against the closure ones: ternary settles in every
+   mode, and packed words of every component over random cycles. *)
+let sim_mismatch nl =
+  let lv = Levelize.compute nl in
+  let f = Sim.flatten nl lv in
+  let ternary =
+    List.for_all
+      (fun (inputs, respect_init, cycles) ->
+        Sim.ternary_values ~inputs ~respect_init ~cycles f
+        = Ref.Sim.ternary_values ~inputs ~respect_init ~cycles nl lv)
+      [ (T.X, false, 0); (T.X, true, 0); (T.F, false, 3); (T.T, true, 2) ]
+  in
+  if not ternary then Some "ternary_values"
+  else if lv.Levelize.cyclic <> [] then None
+  else begin
+    let s = Sim.packed_create f and r = Ref.Sim.packed_create nl lv in
+    let st = Random.State.make [| N.size nl |] in
+    let same = ref true in
+    for _ = 1 to 4 do
+      List.iter
+        (fun (name, _) ->
+          let w = Hydra_core.Packed.random_word st in
+          Sim.packed_set_input s name w;
+          Ref.Sim.packed_set_input r name w)
+        nl.N.inputs;
+      Sim.packed_settle s;
+      Ref.Sim.packed_settle r;
+      for i = 0 to N.size nl - 1 do
+        if Sim.packed_value s i <> Ref.Sim.packed_value r i then same := false
+      done;
+      Sim.packed_tick s;
+      Ref.Sim.packed_tick r
+    done;
+    if !same then None else Some "packed"
+  end
+
+(* The path 0 -> 1 -> ... -> n-1 as solver successors. *)
+let chain n =
+  {
+    Dataflow.off = Array.init (n + 1) (fun i -> min i (n - 1));
+    dst = Array.init (n - 1) (fun i -> i + 1);
+  }
+
 (* ----------------------------------------------------------------------- *)
 
 let suite =
@@ -136,29 +210,25 @@ let suite =
     tc "solve: chain propagation reaches the fixpoint" (fun () ->
         let n = 5 in
         let reach, stats =
-          Dataflow.solve ~n ~equal:( = )
-            ~succs:(fun i -> if i + 1 < n then [ i + 1 ] else [])
-            ~transfer:(fun get i -> i = 0 || get (i - 1))
-            ~init:(fun _ -> false)
-            ()
+          Dataflow.solve ~succs:(chain n)
+            ~transfer:(fun v i -> if i = 0 then 1 else v.(i - 1))
+            (Array.make n 0)
         in
-        check_bool "all reached" true (Array.for_all (fun b -> b) reach);
+        check_bool "all reached" true (Array.for_all (fun b -> b = 1) reach);
         check_bool "visited at least n nodes" true (stats.Dataflow.visits >= n);
         check_bool "updates happened" true (stats.Dataflow.updates >= n - 1));
     tc "solve: frozen nodes keep their init and block flow" (fun () ->
         let n = 5 in
         let reach, _ =
           Dataflow.solve
-            ~frozen:(fun i -> i = 2)
-            ~n ~equal:( = )
-            ~succs:(fun i -> if i + 1 < n then [ i + 1 ] else [])
-            ~transfer:(fun get i -> i = 0 || get (i - 1))
-            ~init:(fun _ -> false)
-            ()
+            ~frozen:(Array.init n (fun i -> i = 2))
+            ~succs:(chain n)
+            ~transfer:(fun v i -> if i = 0 then 1 else v.(i - 1))
+            (Array.make n 0)
         in
         check_bool_list "cut at the frozen node"
           [ true; true; false; false; false ]
-          (Array.to_list reach));
+          (Array.to_list (Array.map (fun b -> b = 1) reach)));
     (* --- sequential constant propagation --- *)
     tc "stuck register: and-gated reload loop is provably stuck" (fun () ->
         let df = Dataflow.create fx_stuck in
@@ -201,8 +271,7 @@ let suite =
         let df = Dataflow.create fx_flush in
         check_bool "fixpoint: clean" true (Dataflow.reaching_x_outputs df = []);
         let bounded =
-          Sim.ternary_values ~inputs:T.F ~cycles:0 fx_flush
-            (Dataflow.levelization df)
+          Sim.ternary_values ~inputs:T.F ~cycles:0 (Dataflow.flat df)
         in
         check_bool "bounded at 0 cycles still unknown" true (bounded.(3) = T.X);
         check_bool "fixpoint value is known" true
@@ -269,8 +338,10 @@ let suite =
           check_string "output named" "x" cex.Certify.output;
           (* replay the counterexample on the reference simulator: the
              two netlists must really disagree at the reported cycle *)
-          let s1 = Sim.packed_create fx_inv (Levelize.compute fx_inv)
-          and s2 = Sim.packed_create post (Levelize.compute post) in
+          let packed nl =
+            Sim.packed_create (Sim.flatten nl (Levelize.compute nl))
+          in
+          let s1 = packed fx_inv and s2 = packed post in
           for c = 0 to cex.Certify.cycle do
             List.iter
               (fun (name, bits) ->
@@ -399,6 +470,60 @@ let suite =
           not (T.leq a a' && T.leq b b') || T.leq (f a b) (f a' b')
         in
         mono1 T.inv && mono2 T.and2 && mono2 T.or2 && mono2 T.xor2);
+    (* --- the flat analyses against the list-and-closure oracle --- *)
+    qc ~count:500 "flat analyses = list-and-closure oracle on random netlists"
+      Test_levelize.gen_raw (fun g ->
+        let nl = Test_levelize.build_raw g in
+        match (oracle_mismatch nl, sim_mismatch nl) with
+        | None, None -> true
+        | Some what, _ | None, Some what ->
+          QCheck2.Test.fail_reportf "%s differs" what);
+    tc "oracle: random netlists reach every awkward case" (fun () ->
+        (* the generator must produce what the oracle property is about,
+           or it passes vacuously *)
+        let st = Random.State.make [| 17 |] in
+        let seen_cycle = ref false
+        and seen_dff_loop = ref false
+        and seen_stuck = ref false
+        and seen_class = ref false in
+        (* a flip flop loading itself, or another flip flop that loads it *)
+        let dff_loop (nl : N.t) i =
+          let d = nl.N.fanin.(i).(0) in
+          d = i
+          ||
+          match nl.N.components.(d) with
+          | N.Dffc _ -> nl.N.fanin.(d).(0) = i
+          | _ -> false
+        in
+        for _ = 1 to 400 do
+          let nl =
+            Test_levelize.build_raw
+              (QCheck2.Gen.generate1 ~rand:st Test_levelize.gen_raw)
+          in
+          let df = Dataflow.create nl in
+          if (Dataflow.levelization df).Levelize.cyclic <> [] then
+            seen_cycle := true;
+          Array.iteri
+            (fun i c ->
+              match c with
+              | N.Dffc _ -> if dff_loop nl i then seen_dff_loop := true
+              | _ -> ())
+            nl.N.components;
+          if Dataflow.stuck_registers df <> [] then seen_stuck := true;
+          if Dataflow.classes df <> [] then seen_class := true
+        done;
+        check_bool "combinational cycles" true !seen_cycle;
+        check_bool "dff-only loops" true !seen_dff_loop;
+        check_bool "sequential constants (stuck registers)" true !seen_stuck;
+        check_bool "equivalence classes" true !seen_class);
+    tc "flat analyses = list-and-closure oracle on the catalogue" (fun () ->
+        List.iter
+          (fun (name, nl) ->
+            match (oracle_mismatch nl, sim_mismatch nl) with
+            | None, None -> ()
+            | Some what, _ | None, Some what ->
+              Alcotest.failf "%s: %s differs" name what)
+          (Lazy.force Catalogue.all));
     (* --- random circuits (QCheck) --- *)
     qc ~count:25 "sweep certifies on random circuits" Test_analyze.gen_nodes
       (fun nodes ->

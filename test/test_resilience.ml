@@ -145,6 +145,70 @@ let deadline_tests =
         Scheduler.shutdown sch);
   ]
 
+(* The ticker's lifecycle: one domain per scheduler, spawned by the first
+   run that needs it, parked between runs, joined by [shutdown]. *)
+
+(* A job whose only task fails once and then backs off for [backoff]
+   seconds, with a [deadline] well inside it: every member parks on the
+   backoff, so only the ticker can observe the expiry. *)
+let parked_past_deadline sch ~deadline ~backoff =
+  let policy =
+    Resilience.retry ~max_attempts:2 ~base_delay:backoff ~max_delay:backoff
+      ~jitter:0.0 ()
+  in
+  let j =
+    Scheduler.submit ~name:"parked" ~deadline ~retry:policy sch ~tasks:1
+      (fun ~member:_ _ -> failwith "transient: fails, then backs off")
+  in
+  let t0 = Unix.gettimeofday () in
+  Scheduler.run sch;
+  (Scheduler.status sch j, Unix.gettimeofday () -. t0)
+
+let ticker_tests =
+  [
+    tc "ticker: a deadline fires while the whole team parks in a second run"
+      (fun () ->
+        let check_second_run sch =
+          (* the first run spawns the ticker, which then parks *)
+          Scheduler.run_tasks sch ~deadline:30.0 4 (fun ~member:_ _ -> ());
+          let st, dt = parked_past_deadline sch ~deadline:0.05 ~backoff:5.0 in
+          check_bool "timed out" true (st = Scheduler.Timed_out);
+          check_bool "observed long before the backoff is due" true (dt < 2.5)
+        in
+        let sch = Scheduler.create ~domains:2 () in
+        check_second_run sch;
+        Scheduler.shutdown sch;
+        (* the same on a caller-owned pool: shutdown joins the ticker but
+           leaves the pool, and the scheduler, usable *)
+        let pool = Hydra_parallel.Pool.create ~domains:2 () in
+        let sch = Scheduler.of_pool pool in
+        check_second_run sch;
+        Scheduler.shutdown sch;
+        check_second_run sch;
+        Scheduler.shutdown sch;
+        let ran = Atomic.make 0 in
+        Hydra_parallel.Pool.run_team pool (fun _ -> Atomic.incr ran);
+        check_int "borrowed pool still runs" 2 (Atomic.get ran);
+        Hydra_parallel.Pool.shutdown pool);
+    tc "ticker: create/run/shutdown cycles past the domain limit leak none"
+      (fun () ->
+        (* the runtime allows 128 domains at once; each cycle holds at
+           most three (main, one pool member, the ticker), so a leak of
+           one domain per cycle would make [Domain.spawn] fail *)
+        for _ = 1 to 150 do
+          let sch = Scheduler.create ~domains:2 () in
+          Scheduler.run_tasks sch ~deadline:30.0 2 (fun ~member:_ _ -> ());
+          Scheduler.shutdown sch
+        done;
+        let pool = Hydra_parallel.Pool.create ~domains:2 () in
+        for _ = 1 to 150 do
+          let sch = Scheduler.of_pool pool in
+          Scheduler.run_tasks sch ~deadline:30.0 2 (fun ~member:_ _ -> ());
+          Scheduler.shutdown sch
+        done;
+        Hydra_parallel.Pool.shutdown pool);
+  ]
+
 (* Retry --------------------------------------------------------------- *)
 
 let retry_tests =
@@ -685,5 +749,5 @@ let chaos_tests =
   ]
 
 let suite =
-  deadline_tests @ retry_tests @ watchdog_tests @ admission_tests
+  deadline_tests @ ticker_tests @ retry_tests @ watchdog_tests @ admission_tests
   @ reentrancy_tests @ backstop_tests @ cache_counter_tests @ chaos_tests

@@ -239,6 +239,114 @@ let scheduler_tests =
 
 (* Digest -------------------------------------------------------------- *)
 
+(* The canonical text [Netlist.digest] hashed before its int-array DFS
+   and digit writer: a list stack, a reversed order list, [string_of_int]
+   and [Printf] — kept as the oracle that the bytes did not change. *)
+let reference_digest (t : N.t) =
+  let n = N.size t in
+  let canon = Array.make n (-1) in
+  let on_stack = Array.make n false in
+  let next = ref 0 in
+  let rev_order = ref [] in
+  let visit root =
+    if canon.(root) < 0 && not on_stack.(root) then begin
+      on_stack.(root) <- true;
+      let stack = ref [ (root, 0) ] in
+      while !stack <> [] do
+        match !stack with
+        | [] -> ()
+        | (i, port) :: rest ->
+          let fi = t.N.fanin.(i) in
+          if port < Array.length fi then begin
+            stack := (i, port + 1) :: rest;
+            let c = fi.(port) in
+            if canon.(c) < 0 && not on_stack.(c) then begin
+              on_stack.(c) <- true;
+              stack := (c, 0) :: !stack
+            end
+          end
+          else begin
+            on_stack.(i) <- false;
+            canon.(i) <- !next;
+            incr next;
+            rev_order := i :: !rev_order;
+            stack := rest
+          end
+      done
+    end
+  in
+  let by_name l = List.stable_sort (fun (a, _) (b, _) -> compare a b) l in
+  List.iter (fun (_, i) -> visit i) (by_name t.N.outputs);
+  List.iter (fun (_, i) -> visit i) (by_name t.N.inputs);
+  let token = function
+    | N.Dffc b -> if b then "dff1" else "dff0"
+    | c -> N.component_name c
+  in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "hydra-digest 1\n";
+  List.iter
+    (fun i ->
+      Buffer.add_string buf (token t.N.components.(i));
+      Array.iter
+        (fun c ->
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf (string_of_int canon.(c)))
+        t.N.fanin.(i);
+      List.iter
+        (fun nm ->
+          Buffer.add_string buf " !";
+          Buffer.add_string buf nm)
+        t.N.names.(i);
+      Buffer.add_char buf '\n')
+    (List.rev !rev_order);
+  let port label l =
+    List.iter
+      (fun (s, i) ->
+        Buffer.add_string buf
+          (Printf.sprintf "%s %s %d\n" label s canon.(i)))
+      (by_name l)
+  in
+  port "input" t.N.inputs;
+  port "output" t.N.outputs;
+  let orphans = Hashtbl.create 8 in
+  Array.iteri
+    (fun i c ->
+      if canon.(i) < 0 then begin
+        let tok = token c in
+        Hashtbl.replace orphans tok
+          (1 + Option.value ~default:0 (Hashtbl.find_opt orphans tok))
+      end)
+    t.N.components;
+  List.iter
+    (fun (tok, count) ->
+      Buffer.add_string buf (Printf.sprintf "orphan %s %d\n" tok count))
+    (List.sort compare
+       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) orphans []));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Raw netlists for the digest oracle: the levelizer's random netlists
+   (combinational cycles, dff loops, unreachable components), with labels
+   on some components and, when [drop] is set, the last input port left
+   out of the port list, so an undeclared inport is an orphan too. *)
+let gen_digest_raw =
+  QCheck2.Gen.(triple Test_levelize.gen_raw (int_bound 1000) bool)
+
+let build_digest_raw (g, label_seed, drop) =
+  let nl = Test_levelize.build_raw g in
+  let names =
+    Array.init (N.size nl) (fun i ->
+        match (i * 7919 + label_seed) mod 5 with
+        | 0 -> [ Printf.sprintf "n%d" i ]
+        | 1 -> [ "q"; Printf.sprintf "m%d" (i + label_seed) ]
+        | _ -> [])
+  in
+  let inputs =
+    match List.rev nl.N.inputs with
+    | _ :: rest when drop -> List.rev rest
+    | _ -> nl.N.inputs
+  in
+  { nl with N.names; inputs }
+
 let digest_tests =
   [
     tc "digest is stable across Serial round-trips" (fun () ->
@@ -269,6 +377,40 @@ let digest_tests =
         check_bool "output name matters" true (d1 <> d3);
         check_bool "ripple <> wallace" true
           (N.digest (ripple_netlist 4) <> N.digest (wallace_netlist 4)));
+    qc ~count:500 "digest hashes the same bytes as the list-based builder"
+      gen_digest_raw (fun g ->
+        let nl = build_digest_raw g in
+        N.digest nl = reference_digest nl);
+    tc "digest oracle: random netlists hit names, orphans and cycles"
+      (fun () ->
+        let st = Random.State.make [| 23 |] in
+        let named = ref false and orphan = ref false and cycle = ref false in
+        for _ = 1 to 300 do
+          let nl =
+            build_digest_raw (QCheck2.Gen.generate1 ~rand:st gen_digest_raw)
+          in
+          if Array.exists (fun l -> l <> []) nl.N.names then named := true;
+          (* an orphan: a component no port reaches through fanin edges *)
+          let reached = Array.make (N.size nl) false in
+          let rec mark i =
+            if not reached.(i) then begin
+              reached.(i) <- true;
+              Array.iter mark nl.N.fanin.(i)
+            end
+          in
+          List.iter (fun (_, i) -> mark i) (nl.N.outputs @ nl.N.inputs);
+          if Array.exists not reached then orphan := true;
+          let lv = Hydra_netlist.Levelize.compute nl in
+          if lv.Hydra_netlist.Levelize.cyclic <> [] then cycle := true
+        done;
+        check_bool "labels" true !named;
+        check_bool "orphans" true !orphan;
+        check_bool "combinational cycles" true !cycle);
+    tc "digest = the list-based builder on the catalogue" (fun () ->
+        List.iter
+          (fun (name, nl) ->
+            check_string name (reference_digest nl) (N.digest nl))
+          (Lazy.force Catalogue.all));
   ]
 
 (* Cache --------------------------------------------------------------- *)
